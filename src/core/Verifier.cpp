@@ -394,9 +394,8 @@ NetworkReport Verifier::verifyNetwork(
   return Report;
 }
 
-void sus::core::printReport(const VerificationReport &Report,
-                            const hist::HistContext &Ctx, std::ostream &OS) {
-  const StringInterner &In = Ctx.interner();
+void sus::core::printReportSummary(const VerificationReport &Report,
+                                   std::ostream &OS) {
   OS << "candidate plans: " << Report.CandidateCount
      << " (bindings tried: " << Report.BindingsTried << ")";
   if (Report.Truncated)
@@ -405,6 +404,12 @@ void sus::core::printReport(const VerificationReport &Report,
     OS << " [enumeration inconclusive: "
        << resourceKindName(Report.EnumerationExhausted->Which) << "]";
   OS << "\n";
+}
+
+void sus::core::printReport(const VerificationReport &Report,
+                            const hist::HistContext &Ctx, std::ostream &OS) {
+  const StringInterner &In = Ctx.interner();
+  printReportSummary(Report, OS);
   for (const PlanVerdict &V : Report.Verdicts) {
     OS << "  plan " << V.Pi.str(In) << ": ";
     if (V.isValid()) {

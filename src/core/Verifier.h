@@ -156,9 +156,10 @@ struct VerifierOptions {
   /// the index's pre-screens reject exactly (a subset of) what the
   /// compliance filter rejects, so indexed runs emit the identical plan
   /// set; without the filter the scan would emit non-compliant plans the
-  /// index skips, which would change reports. Off (the default) keeps
-  /// every existing output byte-identical.
-  bool UseIndex = false;
+  /// index skips, which would change reports. The index is the only
+  /// production enumeration; tests and benchmarks clear this to get the
+  /// scan as their differential oracle.
+  bool UseIndex = true;
 
   /// Optional resource governor threaded through every kernel this
   /// verifier runs (enumeration, compliance products, security
@@ -333,6 +334,10 @@ private:
   std::map<std::pair<const hist::Expr *, const hist::Expr *>, bool>
       ComplianceMemo;
 };
+
+/// Renders the first line of printReport: the candidate and binding
+/// counts, and whether enumeration was cut short.
+void printReportSummary(const VerificationReport &Report, std::ostream &OS);
 
 /// Renders a report in a compact human-readable format.
 void printReport(const VerificationReport &Report,

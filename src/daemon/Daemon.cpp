@@ -3,21 +3,15 @@
 #include "daemon/Daemon.h"
 
 #include "analysis/Lint.h"
-#include "core/Repair.h"
 #include "daemon/Socket.h"
-#include "plan/RepositoryDelta.h"
 #include "plan/ServiceIndex.h"
+#include "support/ParseInt.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <vector>
 
 using namespace sus;
 using namespace sus::daemon;
@@ -31,31 +25,12 @@ Response errorResponse(const std::string &Msg) {
   return Resp;
 }
 
-/// Digits-only non-negative integer parameter (the susc count-flag
-/// discipline: no signs, no silent wrapping).
-bool parseCountParam(const std::string &Key, const std::string &Value,
-                     uint64_t &Out, std::string &Err) {
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
-    Err = "parameter '" + Key + "' expects a non-negative integer, got '" +
-          Value + "'";
-    return false;
-  }
-  errno = 0;
-  unsigned long long N = std::strtoull(Value.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    Err = "parameter '" + Key + "' value '" + Value + "' is out of range";
-    return false;
-  }
-  Out = N;
-  return true;
-}
-
-int64_t percentileUs(std::vector<int64_t> Sorted, size_t Pct) {
-  if (Sorted.empty())
-    return 0;
-  std::sort(Sorted.begin(), Sorted.end());
-  return Sorted[std::min(Sorted.size() - 1, Sorted.size() * Pct / 100)];
+/// Reads the integer parameter \p Key into \p Out when present (else
+/// leaves it alone).
+bool countParam(const Request &R, const std::string &Key, uint64_t &Out,
+                std::string &Err, uint64_t Min = 0) {
+  return !R.has(Key) ||
+         parseInteger("parameter '" + Key + "'", R.param(Key), Out, Err, Min);
 }
 
 } // namespace
@@ -63,62 +38,17 @@ int64_t percentileUs(std::vector<int64_t> Sorted, size_t Pct) {
 std::unique_ptr<Engine> Engine::create(std::string Source,
                                        std::string FileName,
                                        EngineOptions Opts, std::string &Err) {
-  std::unique_ptr<Engine> E(new Engine(std::move(Opts)));
-  MutexLock Lock(E->M);
-  E->Source = std::move(Source);
-  E->FileName = std::move(FileName);
-
-  DiagnosticEngine Diags;
-  E->File = syntax::parseSusFile(E->Ctx, E->Source, Diags, E->FileName);
-  if (!E->File) {
-    std::ostringstream OS;
-    Diags.print(OS, DiagFormat::Text);
-    Err = OS.str();
-    if (Err.empty())
-      Err = "cannot parse '" + E->FileName + "'";
+  std::unique_ptr<core::Session> S =
+      core::Session::create(std::move(Source), std::move(FileName), Opts.Jobs,
+                            /*Governor=*/nullptr, DiagFormat::Text, Err);
+  if (!S)
     return nullptr;
-  }
-
-  core::VerifierOptions VOpts;
-  VOpts.Jobs = E->Opts.Jobs;
-  VOpts.UseIndex = E->Opts.UseIndex;
-  E->Cache = std::make_shared<core::VerifierCache>();
-  E->V = std::make_unique<core::Verifier>(E->Ctx, E->File->Repo,
-                                          E->File->Registry, VOpts, E->Cache);
-  return E;
-}
-
-bool Engine::loadSnapshotBytes(const std::string &Bytes, std::string &Err,
-                               core::SnapshotStats *Stats) {
-  MutexLock Lock(M);
-  core::SnapshotLoadResult R =
-      core::loadSnapshot(Bytes, Ctx, File->Repo, *Cache);
-  if (!R.Ok) {
-    Err = R.Error;
-    return false;
-  }
-  if (Stats)
-    *Stats = R.Stats;
-  if (Opts.UseIndex && !R.IndexEntries.empty())
-    V->adoptIndex(std::make_unique<plan::ServiceIndex>(Ctx, File->Repo,
-                                                       R.IndexEntries));
-  return true;
-}
-
-std::string Engine::saveSnapshotBytes(core::SnapshotStats *Stats) {
-  MutexLock Lock(M);
-  return core::saveSnapshot(Ctx, File->Repo, *Cache, V->index(), Stats);
+  return std::make_unique<Engine>(std::move(S), std::move(Opts));
 }
 
 int Engine::warmAll(std::ostream &OS) {
   MutexLock Lock(M);
-  bool AllOk = true, AnyInconclusive = false;
-  for (const auto &[Name, Client] : File->Clients)
-    verifyClient(Name, Client, /*OnlyPlan=*/"", /*Enumerate=*/true, OS, AllOk,
-                 AnyInconclusive);
-  if (AnyInconclusive)
-    return 3;
-  return AllOk ? 0 : 1;
+  return S->verifyAll(OS);
 }
 
 Response Engine::handle(const Request &R) {
@@ -135,20 +65,32 @@ Response Engine::handle(const Request &R) {
     return Resp;
   }
   if (R.Verb == "stats")
-    return stats(R);
+    return stats();
   if (R.Verb == "snapshot")
     return snapshot(R);
 
   if (R.Verb == "verify" || R.Verb == "lint" || R.Verb == "churn") {
-    if (!armGovernor(R, Resp))
-      return Resp;
-    if (R.Verb == "verify")
+    // Arm this request's governor: its tenant's budget, tightened (never
+    // loosened) by the request's own overrides.
+    TenantBudget Override;
+    std::string Err;
+    if (!countParam(R, "deadline_ms", Override.DeadlineMs, Err) ||
+        !countParam(R, "max_product_states", Override.MaxProductStates,
+                    Err) ||
+        !countParam(R, "max_subset_states", Override.MaxSubsetStates, Err))
+      return errorResponse(Err);
+    S->setGovernor(
+        Opts.Tenants.governorFor(R.param("tenant", "*"), Override));
+    if (R.Verb == "verify") {
       Resp = verify(R);
-    else if (R.Verb == "lint")
-      Resp = lint(R);
-    else
+    } else if (R.Verb == "lint") {
+      std::ostringstream OS;
+      Resp.Exit = S->lint(analysis::LintOptions(), DiagFormat::Text, OS);
+      Resp.Body = OS.str();
+    } else {
       Resp = churn(R);
-    V->setGovernor(nullptr); // Disarm: the next request re-arms its own.
+    }
+    S->setGovernor(nullptr); // Disarm: the next request re-arms its own.
     return Resp;
   }
 
@@ -157,220 +99,41 @@ Response Engine::handle(const Request &R) {
                        "snapshot, shutdown)");
 }
 
-bool Engine::armGovernor(const Request &R, Response &Resp) {
-  TenantBudget Override;
-  std::string Err;
-  if (R.has("deadline_ms") &&
-      !parseCountParam("deadline_ms", R.param("deadline_ms"),
-                       Override.DeadlineMs, Err)) {
-    Resp = errorResponse(Err);
-    return false;
-  }
-  if (R.has("max_product_states") &&
-      !parseCountParam("max_product_states", R.param("max_product_states"),
-                       Override.MaxProductStates, Err)) {
-    Resp = errorResponse(Err);
-    return false;
-  }
-  if (R.has("max_subset_states") &&
-      !parseCountParam("max_subset_states", R.param("max_subset_states"),
-                       Override.MaxSubsetStates, Err)) {
-    Resp = errorResponse(Err);
-    return false;
-  }
-  V->setGovernor(
-      Opts.Tenants.governorFor(R.param("tenant", "*"), Override));
-  return true;
-}
-
-void Engine::verifyClient(Symbol Name, const hist::Expr *Client,
-                          const std::string &OnlyPlan, bool Enumerate,
-                          std::ostream &OS, bool &AllOk,
-                          bool &AnyInconclusive) {
-  // Mirrors the susc verify loop byte for byte (tests diff the two).
-  std::string ClientName(Ctx.interner().text(Name));
-  OS << "== client " << ClientName << " ==\n";
-
-  bool HasValid = false;
-
-  for (const syntax::PlanDecl &Decl : File->Plans) {
-    if (Decl.Client != Name)
-      continue;
-    std::string PlanName(Ctx.interner().text(Decl.Name));
-    if (!OnlyPlan.empty() && PlanName != OnlyPlan)
-      continue;
-    core::PlanVerdict Verdict = V->checkPlan(Client, Name, Decl.Pi);
-    OS << "plan " << PlanName << " " << Decl.Pi.str(Ctx.interner()) << ": ";
-    if (Verdict.inconclusive()) {
-      std::optional<ResourceExhausted> E = Verdict.exhaustedReason();
-      OS << "Inconclusive(resource: "
-         << (E ? resourceKindName(E->Which) : "unknown") << ")\n";
-      AnyInconclusive = true;
-      continue;
-    }
-    OS << (Verdict.isValid() ? "VALID" : "invalid") << "\n";
-    for (const core::RequestCheck &C : Verdict.RequestChecks)
-      if (!C.Compliant && !C.Exhausted) {
-        OS << "  request " << C.Request << ": not compliant";
-        if (C.Witness)
-          OS << " (" << C.Witness->str(Ctx) << ")";
-        OS << "\n";
-      }
-    if (!Verdict.Security.Valid &&
-        Verdict.Security.Failure != validity::PlanFailureKind::None &&
-        Verdict.Security.Failure !=
-            validity::PlanFailureKind::ResourceExhausted) {
-      OS << "  security: failed";
-      if (Verdict.Security.Policy)
-        OS << " (policy " << Verdict.Security.Policy->str(Ctx.interner())
-           << ")";
-      if (!Verdict.Security.Trace.empty()) {
-        OS << " via";
-        for (const std::string &L : Verdict.Security.Trace)
-          OS << " " << L;
-      }
-      OS << "\n";
-    }
-    if (Verdict.isValid())
-      HasValid = true;
-  }
-
-  if (Enumerate && OnlyPlan.empty()) {
-    core::VerificationReport Report = V->verifyClient(Client, Name);
-    core::printReport(Report, Ctx, OS);
-    if (Report.anyInconclusive())
-      AnyInconclusive = true;
-    if (!Report.validPlans().empty())
-      HasValid = true;
-  }
-
-  if (!HasValid)
-    AllOk = false;
-}
-
 Response Engine::verify(const Request &R) {
-  Response Resp;
-  std::ostringstream OS;
-  bool AllOk = true, AnyInconclusive = false;
   std::string OnlyPlan = R.param("plan");
   bool Enumerate = R.param("enumerate", "1") != "0";
-
-  std::string Only = R.param("client");
-  if (!Only.empty()) {
-    Symbol Name = Ctx.interner().lookup(Only);
-    const hist::Expr *Client = Name.isValid() ? File->findClient(Name)
-                                              : nullptr;
-    if (!Client)
-      return errorResponse("no client named '" + Only + "'");
-    verifyClient(Name, Client, OnlyPlan, Enumerate, OS, AllOk,
-                 AnyInconclusive);
-  } else {
-    for (const auto &[Name, Client] : File->Clients)
-      verifyClient(Name, Client, OnlyPlan, Enumerate, OS, AllOk,
-                   AnyInconclusive);
-  }
-
-  Resp.Body = OS.str();
-  Resp.Exit = AnyInconclusive ? 3 : (AllOk ? 0 : 1);
-  return Resp;
-}
-
-Response Engine::lint(const Request &R) {
-  (void)R;
   Response Resp;
   std::ostringstream OS;
-  DiagnosticEngine Diags;
-  // LintContext stores a reference to its options — keep them alive for
-  // the whole run.
-  analysis::LintOptions LOpts;
-  analysis::LintContext LC(Ctx, *File, FileName, LOpts, Diags);
-  unsigned Findings = analysis::runLintPasses(LC);
-  Diags.print(OS, DiagFormat::Text);
-  OS << FileName << ": " << Findings << " finding(s)\n";
+
+  std::string Only = R.param("client");
+  if (Only.empty()) {
+    Resp.Exit = S->verifyAll(OS, OnlyPlan, Enumerate);
+  } else {
+    Symbol Name = S->context().interner().lookup(Only);
+    const hist::Expr *Client =
+        Name.isValid() ? S->file().findClient(Name) : nullptr;
+    if (!Client)
+      return errorResponse("no client named '" + Only + "'");
+    core::RunTally Tally;
+    S->verifyClient(Name, Client, OnlyPlan, Enumerate, OS, Tally);
+    Resp.Exit = Tally.exitCode();
+  }
   Resp.Body = OS.str();
-  Resp.Exit = Findings ? 1 : 0;
   return Resp;
 }
 
 Response Engine::churn(const Request &R) {
   uint64_t Rounds = 1, Seed = 1;
   std::string Err;
-  if ((R.has("rounds") &&
-       !parseCountParam("rounds", R.param("rounds"), Rounds, Err)) ||
-      (R.has("seed") && !parseCountParam("seed", R.param("seed"), Seed, Err)))
+  if (!countParam(R, "rounds", Rounds, Err, /*Min=*/1) ||
+      !countParam(R, "seed", Seed, Err))
     return errorResponse(Err);
-  if (Rounds == 0)
-    return errorResponse("parameter 'rounds' must be at least 1");
-
-  std::vector<plan::Loc> Locs = File->Repo.locations();
-  if (Locs.empty())
-    return errorResponse("churn needs a non-empty repository");
-
   Response Resp;
   std::ostringstream OS;
-  bool AllOk = true, AnyInconclusive = false;
-
-  // The same deterministic LCG as `susc plan --churn`, so a daemon churn
-  // replay is comparable to the CLI one.
-  uint64_t Rng = Seed;
-  auto NextRand = [&Rng]() {
-    Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return Rng >> 33;
-  };
-
-  for (const auto &[Name, Client] : File->Clients) {
-    OS << "== client " << Ctx.interner().text(Name) << " ==\n";
-    core::RepairSession Session(*V, Client, Name);
-    const core::VerificationReport &Baseline = Session.verify();
-    OS << "valid plans: " << Baseline.validPlans().size() << "\n";
-
-    size_t Kept = 0, Dropped = 0, Reverified = 0, Repairs = 0;
-    std::vector<int64_t> LatenciesUs;
-    bool Tripped = false;
-    for (uint64_t Round = 0; Round < Rounds && !Tripped; ++Round) {
-      plan::Loc L = Locs[NextRand() % Locs.size()];
-      const hist::Expr *Service = File->Repo.find(L);
-      unsigned Capacity = File->Repo.capacity(L);
-      for (int Phase = 0; Phase < 2; ++Phase) {
-        plan::RepositoryDelta Delta;
-        Delta.Changes.push_back(
-            Phase == 0
-                ? plan::applyRemove(File->Repo, L)
-                : plan::applyPublish(File->Repo, L, Service, Capacity));
-        auto Start = std::chrono::steady_clock::now();
-        Outcome<core::RepairStats> Repair = Session.applyDelta(Delta);
-        auto End = std::chrono::steady_clock::now();
-        LatenciesUs.push_back(
-            std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-                .count());
-        ++Repairs;
-        if (!Repair.ok()) {
-          OS << "churn: round " << Round << " Inconclusive(resource: "
-             << resourceKindName(Repair.exhausted().Which) << ")\n";
-          AnyInconclusive = true;
-          Tripped = true;
-          break;
-        }
-        Kept += Repair.value().PlansKept;
-        Dropped += Repair.value().PlansDropped;
-        Reverified += Repair.value().PlansReverified;
-      }
-    }
-    OS << "churn: " << Repairs << " repairs over " << Rounds
-       << " round(s), plans kept " << Kept << ", dropped " << Dropped
-       << ", reverified " << Reverified << "\n";
-    OS << "repair latency: p50 " << percentileUs(LatenciesUs, 50)
-       << " us, p99 " << percentileUs(LatenciesUs, 99) << " us\n";
-    const core::VerificationReport &Final = Session.report();
-    OS << "valid plans after churn: " << Final.validPlans().size() << "\n";
-    if (Final.anyInconclusive())
-      AnyInconclusive = true;
-    if (Final.validPlans().empty())
-      AllOk = false;
-  }
-
+  Resp.Exit = S->planReport(Rounds, Seed, OS, Err);
+  if (!Err.empty())
+    return errorResponse(Err);
   Resp.Body = OS.str();
-  Resp.Exit = AnyInconclusive ? 3 : (AllOk ? 0 : 1);
   return Resp;
 }
 
@@ -379,15 +142,9 @@ Response Engine::snapshot(const Request &R) {
   if (Path.empty())
     return errorResponse("snapshot needs file=PATH");
   core::SnapshotStats Stats;
-  std::string Bytes = core::saveSnapshot(Ctx, File->Repo, *Cache, V->index(),
-                                         &Stats);
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out || !Out.write(Bytes.data(), static_cast<std::streamsize>(
-                                           Bytes.size())))
-    return errorResponse("cannot write snapshot to '" + Path + "'");
-  Out.close();
-  if (!Out.good())
-    return errorResponse("error writing snapshot to '" + Path + "'");
+  std::string Err;
+  if (!S->saveSnapshot(Path, Err, &Stats))
+    return errorResponse(Err);
 
   Response Resp;
   std::ostringstream OS;
@@ -400,25 +157,25 @@ Response Engine::snapshot(const Request &R) {
   return Resp;
 }
 
-Response Engine::stats(const Request &R) {
-  (void)R;
+Response Engine::stats() {
   Response Resp;
   std::ostringstream OS;
-  core::VerifierStats S = V->stats();
-  OS << "cache: compliance " << S.ComplianceHits << "/" << S.ComplianceLookups
-     << " hits, projection " << S.ProjectionHits << "/" << S.ProjectionLookups
-     << " hits, validity " << S.ValidityHits << "/" << S.ValidityLookups
-     << " hits\n";
-  monitor::FusedCache::Stats F = Cache->fusedMonitors().stats();
+  core::Verifier &V = S->verifier();
+  core::VerifierStats VS = V.stats();
+  OS << "cache: compliance " << VS.ComplianceHits << "/"
+     << VS.ComplianceLookups << " hits, projection " << VS.ProjectionHits
+     << "/" << VS.ProjectionLookups << " hits, validity " << VS.ValidityHits
+     << "/" << VS.ValidityLookups << " hits\n";
+  monitor::FusedCache::Stats F = V.cache()->fusedMonitors().stats();
   OS << "fused: " << F.Fusions << " fusions, " << F.Hits << "/" << F.Lookups
      << " hits, " << F.Refusals << " refusals\n";
-  if (const plan::ServiceIndex *Index = V->index()) {
+  if (const plan::ServiceIndex *Index = V.index()) {
     plan::IndexStats IStats = Index->stats();
     OS << "index: " << Index->size() << " services, " << IStats.Lookups
        << " lookups (" << IStats.Hits << " memo hits)\n";
   }
-  OS << "repository: " << File->Repo.size() << " services, "
-     << File->Clients.size() << " clients\n";
+  OS << "repository: " << S->file().Repo.size() << " services, "
+     << S->file().Clients.size() << " clients\n";
   Resp.Body = OS.str();
   return Resp;
 }

@@ -1,11 +1,13 @@
 //===- daemon/Daemon.h - The resident verification engine -------*- C++ -*-===//
 ///
 /// \file
-/// susd's core: an Engine keeps one parsed .sus session resident — the
-/// HistContext, repository, policy registry, shared VerifierCache,
-/// ServiceIndex and a Verifier — and serves protocol requests against it,
-/// so repeat verifications pay memo-table lookups instead of re-parsing
-/// and re-exploring (DESIGN.md §13).
+/// susd's core: an Engine keeps one core::Session resident — the parsed
+/// file, shared VerifierCache, ServiceIndex and Verifier — and serves
+/// protocol requests against it, so repeat verifications pay memo-table
+/// lookups instead of re-parsing and re-exploring (DESIGN.md §13). The
+/// Engine adds only the session lock, verb dispatch, tenant budgets and
+/// the stats verb; every report comes from the Session, byte for byte
+/// what susc prints.
 ///
 /// Concurrency model: connections are accepted on the main thread and
 /// handed to a ThreadPool; each request then takes the Engine's session
@@ -24,16 +26,13 @@
 #ifndef SUS_DAEMON_DAEMON_H
 #define SUS_DAEMON_DAEMON_H
 
-#include "core/Snapshot.h"
-#include "core/Verifier.h"
+#include "core/Session.h"
 #include "daemon/Protocol.h"
 #include "support/Sync.h"
 #include "support/TenantBudget.h"
-#include "syntax/FileParser.h"
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -42,7 +41,6 @@ namespace daemon {
 
 struct EngineOptions {
   unsigned Jobs = 1;
-  bool UseIndex = true;
   TenantBudgetTable Tenants;
 };
 
@@ -50,26 +48,22 @@ struct EngineOptions {
 /// requests (thread-safe; requests serialize on the session lock).
 class Engine {
 public:
-  /// Parses \p Source and builds the resident verifier. Null (with a
-  /// one-line diagnostic in \p Err) when the file does not parse.
+  /// Parses \p Source and builds the resident session. Null (with the
+  /// diagnostics in \p Err) when the file does not parse.
   static std::unique_ptr<Engine> create(std::string Source,
                                         std::string FileName,
                                         EngineOptions Opts, std::string &Err);
+
+  /// Serves \p S, a session the caller may already have warmed or loaded
+  /// a snapshot into. Opts.Jobs is not consulted: \p S has its workers.
+  Engine(std::unique_ptr<core::Session> S, EngineOptions Opts)
+      : Opts(std::move(Opts)), S(std::move(S)) {}
 
   /// Serves one request. Never throws; unknown verbs and bad parameters
   /// come back as exit-2 responses.
   Response handle(const Request &R);
 
-  /// Loads a snapshot into the resident cache (and warm-starts the index
-  /// from its persisted summaries). False with a diagnostic on a corrupt,
-  /// wrong-version or mismatched snapshot — the cache is left untouched.
-  bool loadSnapshotBytes(const std::string &Bytes, std::string &Err,
-                         core::SnapshotStats *Stats = nullptr);
-
-  /// Serializes the resident cache (building the index first if needed).
-  std::string saveSnapshotBytes(core::SnapshotStats *Stats = nullptr);
-
-  /// Verifies every client (the susc verify loop), warming the memo
+  /// Verifies every client (the susc verify report), warming the memo
   /// tables. Returns the susc exit code (0/1/3).
   int warmAll(std::ostream &OS);
 
@@ -79,38 +73,18 @@ public:
   }
 
 private:
-  Engine(EngineOptions Opts) : Opts(std::move(Opts)) {}
-
   Response verify(const Request &R) SUS_REQUIRES(M);
-  Response lint(const Request &R) SUS_REQUIRES(M);
   Response churn(const Request &R) SUS_REQUIRES(M);
   Response snapshot(const Request &R) SUS_REQUIRES(M);
-  Response stats(const Request &R) SUS_REQUIRES(M);
+  Response stats() SUS_REQUIRES(M);
 
-  /// Arms the per-request governor (tenant budget min request override)
-  /// on the resident verifier; the returned guard disarms it. Returns
-  /// false (exit-2 response in \p Resp) on malformed numeric parameters.
-  bool armGovernor(const Request &R, Response &Resp) SUS_REQUIRES(M);
-
-  /// Verifies one client into \p OS; the shared worker behind verify()
-  /// and warmAll(). Updates \p AllOk / \p AnyInconclusive.
-  void verifyClient(Symbol Name, const hist::Expr *Client,
-                    const std::string &OnlyPlan, bool Enumerate,
-                    std::ostream &OS, bool &AllOk, bool &AnyInconclusive)
-      SUS_REQUIRES(M);
-
-  EngineOptions Opts;
+  const EngineOptions Opts;
   std::atomic<bool> Shutdown{false};
 
   /// Session lock: the HistContext (and everything interned in it) is
-  /// single-threaded, so one request at a time touches the engine.
+  /// single-threaded, so one request at a time touches the session.
   Mutex M;
-  std::string Source SUS_GUARDED_BY(M);
-  std::string FileName SUS_GUARDED_BY(M);
-  hist::HistContext Ctx SUS_GUARDED_BY(M);
-  std::optional<syntax::SusFile> File SUS_GUARDED_BY(M);
-  std::shared_ptr<core::VerifierCache> Cache SUS_GUARDED_BY(M);
-  std::unique_ptr<core::Verifier> V SUS_GUARDED_BY(M);
+  std::unique_ptr<core::Session> S SUS_GUARDED_BY(M);
 };
 
 struct ServeOptions {

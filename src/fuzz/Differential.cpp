@@ -6,8 +6,7 @@
 #include "bpa/FromHist.h"
 #include "contract/Compliance.h"
 #include "contract/Project.h"
-#include "core/Snapshot.h"
-#include "core/Verifier.h"
+#include "core/Session.h"
 #include "fuzz/Chaos.h"
 #include "hist/Derive.h"
 #include "hist/HistContext.h"
@@ -31,14 +30,12 @@ using namespace sus::fuzz;
 
 namespace {
 
-std::string renderDiags(const DiagnosticEngine &Diags) {
-  std::string Out;
-  for (const Diagnostic &D : Diags.diagnostics()) {
-    if (!Out.empty())
-      Out += "; ";
-    Out += D.Message;
-  }
-  return Out;
+/// Parses \p Source into a fresh session; null with the rendered
+/// diagnostics in \p Err when it does not parse.
+std::unique_ptr<core::Session> openSession(const std::string &Source,
+                                           std::string &Err) {
+  return core::Session::create(Source, "fuzz.sus", /*Jobs=*/1,
+                               /*Governor=*/nullptr, DiagFormat::Text, Err);
 }
 
 /// All behaviors of a parsed file: services first (repository order),
@@ -241,67 +238,42 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
         {"monitor", "chunked probe disagreement on a 6-label lookahead"});
 }
 
-/// Verifies every client through a dedicated verifier over \p Cache and
-/// renders the full report stream. Byte equality of this string across a
-/// snapshot round trip is the warm-restart contract (DESIGN.md §13).
-std::string verifyAllInto(hist::HistContext &Ctx, const syntax::SusFile &File,
-                          core::Verifier &V) {
-  std::ostringstream OS;
-  for (const auto &[Name, Client] : File.Clients) {
-    core::VerificationReport Report = V.verifyClient(Client, Name);
-    core::printReport(Report, Ctx, OS);
-  }
-  return OS.str();
-}
-
 /// Oracle 4: persistence. A snapshot cut after a cold verification must
-/// reload into a *fresh* context (simulating a restarted process) and the
-/// warm verifier must reproduce the cold verdict stream byte for byte.
-/// Then a seeded corruption battery — single-bit flips and truncations of
-/// the blob — must be rejected cleanly every time: loadSnapshot returns
-/// !Ok with a diagnostic, never crashes, never absorbs a partial load.
-void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
-                    const std::string &Source, uint64_t Seed,
-                    const FuzzOptions &Opts, std::vector<Divergence> &Out) {
-  // Cold run: fill a cache, render the reports, cut the snapshot.
-  core::VerifierOptions VOpts;
-  VOpts.UseIndex = true;
-  auto ColdCache = std::make_shared<core::VerifierCache>();
-  core::Verifier Cold(Ctx, File.Repo, File.Registry, VOpts, ColdCache);
-  std::string ColdText = verifyAllInto(Ctx, File, Cold);
-  std::string Bytes =
-      core::saveSnapshot(Ctx, File.Repo, *ColdCache, Cold.index());
+/// reload into a *fresh* session (simulating a restarted process) and the
+/// warm session must reproduce the cold report stream — what `susd --warm`
+/// prints — byte for byte (DESIGN.md §13). Then a seeded corruption
+/// battery — single-bit flips and truncations of the blob — must be
+/// rejected cleanly every time: loadSnapshot returns !Ok with a
+/// diagnostic, never crashes, never absorbs a partial load.
+void snapshotOracle(core::Session &Cold, const std::string &Source,
+                    uint64_t Seed, const FuzzOptions &Opts,
+                    std::vector<Divergence> &Out) {
+  std::ostringstream ColdText;
+  Cold.verifyAll(ColdText);
+  std::string Bytes = Cold.snapshot();
   if (Bytes.empty()) {
     Out.push_back({"snapshot", "saveSnapshot produced an empty blob"});
     return;
   }
 
-  // Warm run: fresh context + re-parse stands in for the new process.
-  hist::HistContext Ctx2;
-  DiagnosticEngine Diags2;
-  std::optional<syntax::SusFile> File2 =
-      syntax::parseSusFile(Ctx2, Source, Diags2, "fuzz.sus");
-  if (!File2) {
-    Out.push_back({"snapshot", "re-parse failed: " + renderDiags(Diags2)});
+  std::string Err;
+  std::unique_ptr<core::Session> Warm = openSession(Source, Err);
+  if (!Warm) {
+    Out.push_back({"snapshot", "re-parse failed: " + Err});
     return;
   }
-  auto WarmCache = std::make_shared<core::VerifierCache>();
-  core::SnapshotLoadResult Load =
-      core::loadSnapshot(Bytes, Ctx2, File2->Repo, *WarmCache);
-  if (!Load.Ok) {
-    Out.push_back({"snapshot", "round trip rejected: " + Load.Error});
+  if (!Warm->loadSnapshot(Bytes, Err)) {
+    Out.push_back({"snapshot", "round trip rejected: " + Err});
     return;
   }
-  core::Verifier Warm(Ctx2, File2->Repo, File2->Registry, VOpts, WarmCache);
-  if (!Load.IndexEntries.empty())
-    Warm.adoptIndex(std::make_unique<plan::ServiceIndex>(
-        Ctx2, File2->Repo, Load.IndexEntries));
-  std::string WarmText = verifyAllInto(Ctx2, *File2, Warm);
-  if (WarmText != ColdText) {
+  std::ostringstream WarmText;
+  Warm->verifyAll(WarmText);
+  if (WarmText.str() != ColdText.str()) {
     Out.push_back({"snapshot",
                    "warm-restart verdicts differ from the cold run (cold " +
-                       std::to_string(ColdText.size()) + " bytes, warm " +
-                       std::to_string(WarmText.size()) + " bytes)"});
+                       std::to_string(ColdText.str().size()) +
+                       " bytes, warm " + std::to_string(WarmText.str().size()) +
+                       " bytes)"});
     return;
   }
 
@@ -309,8 +281,8 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   // partial absorb cannot poison later probes.
   auto mustReject = [&](const std::string &Mutant, const std::string &What) {
     core::VerifierCache Scratch;
-    core::SnapshotLoadResult C =
-        core::loadSnapshot(Mutant, Ctx2, File2->Repo, Scratch);
+    core::SnapshotLoadResult C = core::loadSnapshot(
+        Mutant, Warm->context(), Warm->file().Repo, Scratch);
     if (C.Ok)
       Out.push_back({"snapshot", "corrupt blob accepted: " + What});
     else if (C.Error.empty())
@@ -335,11 +307,8 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
 
   // The pristine blob must still load after all that (rejections are
   // side-effect free), including into the cache that already absorbed it.
-  core::SnapshotLoadResult Again =
-      core::loadSnapshot(Bytes, Ctx2, File2->Repo, *WarmCache);
-  if (!Again.Ok)
-    Out.push_back(
-        {"snapshot", "pristine blob no longer loads: " + Again.Error});
+  if (!Warm->loadSnapshot(Bytes, Err))
+    Out.push_back({"snapshot", "pristine blob no longer loads: " + Err});
 }
 
 } // namespace
@@ -347,22 +316,20 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
 bool sus::fuzz::checkSource(const std::string &Source, uint64_t Seed,
                             const FuzzOptions &Opts,
                             std::vector<Divergence> &Out) {
-  auto Ctx = std::make_unique<hist::HistContext>();
-  DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(*Ctx, Source, Diags, "fuzz.sus");
-  if (!File) {
-    Out.push_back({"parse", renderDiags(Diags)});
+  std::string Err;
+  std::unique_ptr<core::Session> S = openSession(Source, Err);
+  if (!S) {
+    Out.push_back({"parse", Err});
     return false;
   }
 
-  complianceOracle(*Ctx, *File, Out);
-  bpaOracle(*Ctx, *File, Opts.BpaTraceDepth, Out);
-  monitorOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
+  complianceOracle(S->context(), S->file(), Out);
+  bpaOracle(S->context(), S->file(), Opts.BpaTraceDepth, Out);
+  monitorOracle(S->context(), S->file(), Seed, Opts.MonitorTraceLen, Out);
   if (Opts.Snapshot)
-    snapshotOracle(*Ctx, *File, Source, Seed, Opts, Out);
+    snapshotOracle(*S, Source, Seed, Opts, Out);
   if (Opts.Chaos)
-    chaosSoak(*Ctx, *File, Seed, Opts.ChaosRounds, Out);
+    chaosSoak(S->context(), S->file(), Seed, Opts.ChaosRounds, Out);
   return true;
 }
 

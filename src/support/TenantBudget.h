@@ -40,6 +40,10 @@ struct TenantBudget {
 
   /// Field-wise minimum (NoLimit = identity).
   TenantBudget min(const TenantBudget &Other) const;
+
+  /// A fresh governor enforcing this budget, its deadline armed *now*.
+  /// Null when the budget is unlimited (the ungoverned fast path).
+  std::shared_ptr<ResourceGovernor> governor() const;
 };
 
 /// The tenant → budget policy table, built from --tenant specs at daemon
@@ -61,9 +65,8 @@ public:
   size_t size() const { return Budgets.size(); }
 
   /// Builds the per-request governor for \p Tenant, folding in the
-  /// request's own \p Override budget by minimum and arming the deadline
-  /// *now*. Null when the combined budget is unlimited (the ungoverned
-  /// fast path).
+  /// request's own \p Override budget by minimum (see
+  /// TenantBudget::governor).
   std::shared_ptr<ResourceGovernor>
   governorFor(const std::string &Tenant, const TenantBudget &Override) const;
 

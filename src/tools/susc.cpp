@@ -4,6 +4,8 @@
 /// susc — parse a .sus file, verify every client against the repository
 /// (declared plans first, then enumerated candidates), and report the
 /// valid plans. Exit code 0 iff every client has at least one valid plan.
+/// Every subcommand is a thin adapter over core::Session, the engine susd
+/// also serves from.
 ///
 ///   susc file.sus                verify everything
 ///   susc --plan pi1 file.sus    check one declared plan only
@@ -25,8 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Lint.h"
-#include "core/Repair.h"
-#include "core/Verifier.h"
+#include "core/Session.h"
 #include "daemon/Protocol.h"
 #include "daemon/Socket.h"
 #include "fuzz/Differential.h"
@@ -38,16 +39,14 @@
 #include "net/Explorer.h"
 #include "net/Interpreter.h"
 #include "support/Metrics.h"
-#include "support/ResourceGovernor.h"
+#include "support/ParseInt.h"
+#include "support/TenantBudget.h"
 #include "support/Trace.h"
-#include "syntax/FileParser.h"
 #include "validity/CostAnalysis.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -56,22 +55,28 @@ using namespace sus;
 
 namespace {
 
-struct CliOptions {
-  /// "Flag absent" sentinel for the resource limits below.
-  static constexpr uint64_t NoLimit = ~uint64_t(0);
-
+/// What every file-taking mode (verify, lint, plan) shares.
+struct FileCommand {
   /// --help/-h was seen: the caller prints usage and exits 0. Kept as a
   /// flag (instead of exiting inside the parser) so no library-level
   /// code calls std::exit — which is also what concurrency-mt-unsafe
   /// expects of functions that may one day run inside susd.
   bool Help = false;
+  /// Set by a flag that needs no input file (lint --list-passes).
+  bool InputOptional = false;
 
   std::string InputPath;
+  std::string TraceOut;   ///< Chrome trace_event JSON output path.
+  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
+};
+
+struct CliOptions : FileCommand {
+  /// "Flag absent" sentinel for --max-states.
+  static constexpr uint64_t NoLimit = ~uint64_t(0);
+
   std::string OnlyPlan;
   std::string DotLts;
   std::string BisimA, BisimB;
-  std::string TraceOut;   ///< Chrome trace_event JSON output path.
-  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
   bool Run = false;
   bool FusedMonitor = false; ///< --monitor fused
   bool Trace = false;
@@ -79,17 +84,16 @@ struct CliOptions {
   bool Enumerate = true;
   bool Cost = false;
   bool Explore = false;
-  unsigned Jobs = 1;
-  uint64_t DeadlineMs = NoLimit;        ///< --deadline-ms
-  uint64_t MaxProductStates = NoLimit;  ///< --max-product-states
-  uint64_t MaxSubsetStates = NoLimit;   ///< --max-subset-states
+  uint64_t Jobs = 1;
+  TenantBudget Budget; ///< --deadline-ms / --max-*-states
   uint64_t MaxExploreStates = NoLimit;  ///< --max-states (--explore cap)
   DiagFormat Format = DiagFormat::Text;
 };
 
 /// Hard ceiling for --jobs: far above any sane machine, low enough that a
-/// typo cannot ask for a million threads.
-constexpr unsigned long MaxJobs = 256;
+/// typo cannot ask for a million threads. The floor is 1: the old "0 = one
+/// per hardware thread" shorthand was indistinguishable from a typo.
+constexpr uint64_t MaxJobs = 256;
 
 void printUsage(std::ostream &OS) {
   OS << "usage: susc [options] file.sus\n"
@@ -144,10 +148,6 @@ void printLintUsage(std::ostream &OS) {
 
 void printPlanUsage(std::ostream &OS) {
   OS << "usage: susc plan [options] file.sus\n"
-        "  --index          enumerate through the ServiceIndex (candidate\n"
-        "                   buckets + compliance pre-screens; default)\n"
-        "  --no-index       scan the whole repository per request (the\n"
-        "                   paper's baseline; identical plan sets)\n"
         "  --churn N        churn replay: N rounds, each removing and then\n"
         "                   re-publishing one seeded-randomly picked\n"
         "                   service, repairing the reports incrementally\n"
@@ -176,57 +176,29 @@ bool takeValue(int Argc, char **Argv, int &I, const std::string &Flag,
   return true;
 }
 
-/// Parses the --jobs operand: digits only, in [1, MaxJobs]. Rejects 0 (the
-/// old "0 = one per hardware thread" shorthand was indistinguishable from a
-/// typo) and negative values (which strtoul would silently wrap).
-bool parseJobsValue(const std::string &Value, unsigned &Jobs) {
-  if (Value.empty() || Value.find_first_not_of("0123456789") != std::string::npos) {
-    std::cerr << "susc: --jobs expects a positive integer, got '" << Value
-              << "'\n";
+/// Consumes the integer operand of \p Flag, in [\p Min, \p Max].
+bool takeCount(int Argc, char **Argv, int &I, const std::string &Flag,
+               uint64_t &Out, uint64_t Min = 0,
+               uint64_t Max = std::numeric_limits<uint64_t>::max()) {
+  std::string Value, Err;
+  if (!takeValue(Argc, Argv, I, Flag, Value))
     return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-  if (errno == ERANGE || N > MaxJobs) {
-    std::cerr << "susc: --jobs value '" << Value << "' is out of range (max "
-              << MaxJobs << ")\n";
-    return false;
-  }
-  if (N == 0) {
-    std::cerr << "susc: --jobs must be at least 1, got '" << Value << "'\n";
-    return false;
-  }
-  Jobs = static_cast<unsigned>(N);
-  return true;
+  if (parseInteger(Flag, Value, Out, Err, Min, Max))
+    return true;
+  std::cerr << "susc: " << Err << "\n";
+  return false;
 }
 
-/// Parses a non-negative integer operand of \p Flag (digits only, like
-/// parseJobsValue; rejects the sign prefixes strtoull would silently
-/// accept). \p MinValue guards flags where 0 is meaningless.
-bool parseCountValue(const std::string &Flag, const std::string &Value,
-                     uint64_t MinValue, uint64_t &Out) {
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
-    std::cerr << "susc: " << Flag << " expects a non-negative integer, got '"
-              << Value << "'\n";
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(Value.c_str(), &End, 10);
-  if (errno == ERANGE) {
-    std::cerr << "susc: " << Flag << " value '" << Value
-              << "' is out of range\n";
-    return false;
-  }
-  if (N < MinValue) {
-    std::cerr << "susc: " << Flag << " must be at least " << MinValue
-              << ", got '" << Value << "'\n";
-    return false;
-  }
-  Out = N;
-  return true;
+/// The field of \p B the resource-budget flag \p Arg sets, or null when
+/// \p Arg is not one.
+uint64_t *budgetField(const std::string &Arg, TenantBudget &B) {
+  if (Arg == "--deadline-ms")
+    return &B.DeadlineMs;
+  if (Arg == "--max-product-states")
+    return &B.MaxProductStates;
+  if (Arg == "--max-subset-states")
+    return &B.MaxSubsetStates;
+  return nullptr;
 }
 
 /// Parses --diag-format=F; returns false (with a message) on a bad value.
@@ -245,140 +217,142 @@ bool parseDiagFormat(const std::string &Arg, DiagFormat &Format) {
   return false;
 }
 
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
+/// What a mode's own flag parser made of one argument.
+enum class Flag { Taken, NotMine, Bad };
+
+Flag taken(bool Ok) { return Ok ? Flag::Taken : Flag::Bad; }
+
+using OwnFlags = std::function<Flag(const std::string &Arg, int &I)>;
+
+/// Parses Argv[First..] into \p Cmd. \p Own sees each argument first and
+/// may consume operands by advancing its index; what it leaves goes to
+/// the flags every mode shares and to the input path. Usage errors print
+/// a diagnostic and \p Usage to stderr and return false.
+bool parseFileCommand(int Argc, char **Argv, int First, FileCommand &Cmd,
+                      void (*Usage)(std::ostream &), const OwnFlags &Own) {
+  for (int I = First; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--plan") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.OnlyPlan))
-        return false;
-    } else if (Arg == "--dot-lts") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.DotLts))
-        return false;
-    } else if (Arg == "--bisim") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.BisimA) ||
-          !takeValue(Argc, Argv, I, Arg, Opts.BisimB))
-        return false;
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseJobsValue(Value, Opts.Jobs))
-        return false;
-    } else if (Arg == "--deadline-ms") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.DeadlineMs))
-        return false;
-    } else if (Arg == "--max-product-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxProductStates))
-        return false;
-    } else if (Arg == "--max-subset-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxSubsetStates))
-        return false;
-    } else if (Arg == "--max-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/1, Opts.MaxExploreStates))
-        return false;
-    } else if (Arg == "--trace-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
+    Flag F = Own(Arg, I);
+    if (F == Flag::Bad)
+      return false;
+    if (F == Flag::Taken)
+      continue;
+    if (Arg == "--trace-out") {
+      if (!takeValue(Argc, Argv, I, Arg, Cmd.TraceOut))
         return false;
     } else if (Arg == "--metrics-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
+      if (!takeValue(Argc, Argv, I, Arg, Cmd.MetricsOut))
         return false;
+    } else if (Arg == "--help" || Arg == "-h") {
+      Cmd.Help = true;
+      return true;
+    } else if (!Arg.empty() && Arg[0] == '-') {
+      std::cerr << "susc: unknown option '" << Arg << "'\n";
+      Usage(std::cerr);
+      return false;
+    } else if (Cmd.InputPath.empty()) {
+      Cmd.InputPath = Arg;
+    } else {
+      std::cerr << "susc: multiple input files\n";
+      return false;
+    }
+  }
+  if (Cmd.InputPath.empty() && !Cmd.InputOptional) {
+    Usage(std::cerr);
+    return false;
+  }
+  return true;
+}
+
+bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  auto Own = [&](const std::string &Arg, int &I) {
+    if (Arg == "--plan")
+      return taken(takeValue(Argc, Argv, I, Arg, Opts.OnlyPlan));
+    if (Arg == "--dot-lts")
+      return taken(takeValue(Argc, Argv, I, Arg, Opts.DotLts));
+    if (Arg == "--bisim")
+      return taken(takeValue(Argc, Argv, I, Arg, Opts.BisimA) &&
+                   takeValue(Argc, Argv, I, Arg, Opts.BisimB));
+    if (Arg == "--jobs")
+      return taken(takeCount(Argc, Argv, I, Arg, Opts.Jobs, 1, MaxJobs));
+    if (uint64_t *Field = budgetField(Arg, Opts.Budget))
+      return taken(takeCount(Argc, Argv, I, Arg, *Field));
+    if (Arg == "--max-states")
+      return taken(
+          takeCount(Argc, Argv, I, Arg, Opts.MaxExploreStates, /*Min=*/1));
+    if (Arg.rfind("--diag-format=", 0) == 0)
+      return taken(parseDiagFormat(Arg, Opts.Format));
+    if (Arg == "--monitor") {
+      std::string Value;
+      if (!takeValue(Argc, Argv, I, Arg, Value))
+        return Flag::Bad;
+      if (Value != "fused" && Value != "probe") {
+        std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
+                  << Value << "'\n";
+        return Flag::Bad;
+      }
+      Opts.FusedMonitor = Value == "fused";
     } else if (Arg == "--cost") {
       Opts.Cost = true;
     } else if (Arg == "--explore") {
       Opts.Explore = true;
     } else if (Arg == "--run") {
       Opts.Run = true;
-    } else if (Arg == "--monitor") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value))
-        return false;
-      if (Value == "fused") {
-        Opts.FusedMonitor = true;
-      } else if (Value == "probe") {
-        Opts.FusedMonitor = false;
-      } else {
-        std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
-                  << Value << "'\n";
-        return false;
-      }
     } else if (Arg == "--trace") {
       Opts.Trace = true;
     } else if (Arg == "--dot-policies") {
       Opts.DotPolicies = true;
     } else if (Arg == "--no-enumerate") {
       Opts.Enumerate = false;
-    } else if (Arg.rfind("--diag-format=", 0) == 0) {
-      if (!parseDiagFormat(Arg, Opts.Format))
-        return false;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printUsage(std::cerr);
-      return false;
-    } else if (Opts.InputPath.empty()) {
-      Opts.InputPath = Arg;
     } else {
-      std::cerr << "susc: multiple input files\n";
-      return false;
+      return Flag::NotMine;
     }
+    return Flag::Taken;
+  };
+  return parseFileCommand(Argc, Argv, /*First=*/1, Opts, printUsage, Own);
+}
+
+/// Reads and parses \p Path into a session. On failure prints why (parse
+/// diagnostics in \p Format to \p DiagOS) and returns null.
+std::unique_ptr<core::Session>
+openSession(const std::string &Path, uint64_t Jobs,
+            std::shared_ptr<ResourceGovernor> Governor, DiagFormat Format,
+            std::ostream &DiagOS) {
+  std::ifstream In(Path);
+  if (!In) {
+    std::cerr << "susc: cannot open '" << Path << "'\n";
+    return nullptr;
   }
-  if (Opts.InputPath.empty()) {
-    printUsage(std::cerr);
-    return false;
-  }
-  return true;
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  std::string Err;
+  std::unique_ptr<core::Session> S =
+      core::Session::create(Buffer.str(), Path, static_cast<unsigned>(Jobs),
+                            std::move(Governor), Format, Err);
+  if (!S)
+    DiagOS << Err;
+  return S;
 }
 
 int runTool(const CliOptions &Opts) {
   // Arm the governor first thing, so --deadline-ms covers the whole run
   // (parsing included), not just the verification loops.
-  std::shared_ptr<ResourceGovernor> Governor;
-  if (Opts.DeadlineMs != CliOptions::NoLimit ||
-      Opts.MaxProductStates != CliOptions::NoLimit ||
-      Opts.MaxSubsetStates != CliOptions::NoLimit) {
-    Governor = std::make_shared<ResourceGovernor>();
-    if (Opts.MaxProductStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::ProductStates, Opts.MaxProductStates);
-    if (Opts.MaxSubsetStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::SubsetStates, Opts.MaxSubsetStates);
-    if (Opts.DeadlineMs != CliOptions::NoLimit)
-      Governor->setDeadlineAfterMillis(Opts.DeadlineMs);
-  }
-
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
+  std::shared_ptr<ResourceGovernor> Governor = Opts.Budget.governor();
+  std::unique_ptr<core::Session> S = openSession(
+      Opts.InputPath, Opts.Jobs, Governor, Opts.Format, std::cerr);
+  if (!S)
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
-  DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags);
-  Diags.print(std::cerr, Opts.Format);
-  if (!File)
-    return 2;
+  hist::HistContext &Ctx = S->context();
+  const syntax::SusFile &File = S->file();
 
   // Resolve a declared behaviour by name (services first, then clients).
   auto FindBehavior = [&](const std::string &Name) -> const hist::Expr * {
-    Symbol S = Ctx.interner().lookup(Name);
-    if (!S.isValid())
+    Symbol Sym = Ctx.interner().lookup(Name);
+    if (!Sym.isValid())
       return nullptr;
-    if (const hist::Expr *E = File->Repo.find(S))
+    if (const hist::Expr *E = File.Repo.find(Sym))
       return E;
-    return File->findClient(S);
+    return File.findClient(Sym);
   };
 
   if (!Opts.DotLts.empty()) {
@@ -409,9 +383,9 @@ int runTool(const CliOptions &Opts) {
   if (Opts.Explore) {
     // Assemble the network from each client's first declared plan.
     std::vector<net::NetworkComponent> Components;
-    for (const auto &[Name, Client] : File->Clients) {
+    for (const auto &[Name, Client] : File.Clients) {
       const syntax::PlanDecl *Found = nullptr;
-      for (const syntax::PlanDecl &Decl : File->Plans)
+      for (const syntax::PlanDecl &Decl : File.Plans)
         if (Decl.Client == Name) {
           Found = &Decl;
           break;
@@ -427,7 +401,7 @@ int runTool(const CliOptions &Opts) {
     if (Opts.MaxExploreStates != CliOptions::NoLimit)
       EOpts.MaxStates = static_cast<size_t>(Opts.MaxExploreStates);
     net::ExplorationResult R =
-        net::exploreNetwork(Ctx, File->Repo, Components, EOpts);
+        net::exploreNetwork(Ctx, File.Repo, Components, EOpts);
     std::cout << "explored " << R.States << " network states"
               << (R.Exhaustive ? "" : " (truncated)") << "\n";
     std::cout << "all components can complete: "
@@ -458,9 +432,9 @@ int runTool(const CliOptions &Opts) {
       else
         std::cout << "unbounded (a costly loop is reachable)\n";
     };
-    for (const auto &[Loc, Service] : File->Repo.services())
+    for (const auto &[Loc, Service] : File.Repo.services())
       Show(Loc, Service);
-    for (const auto &[Name, Client] : File->Clients)
+    for (const auto &[Name, Client] : File.Clients)
       Show(Name, Client);
     return 0;
   }
@@ -468,190 +442,86 @@ int runTool(const CliOptions &Opts) {
   if (Opts.DotPolicies) {
     // There is no registry iteration API by design (policies are looked
     // up by name); print the ones referenced by clients instead.
-    for (const auto &[Name, Client] : File->Clients) {
+    for (const auto &[Name, Client] : File.Clients) {
       (void)Name;
       for (const plan::RequestSite &Site : plan::extractRequests(Client)) {
         if (Site.policy().isTrivial())
           continue;
         if (const policy::UsageAutomaton *A =
-                File->Registry.find(Site.policy().Name))
+                File.Registry.find(Site.policy().Name))
           A->printDot(Ctx.interner(), std::cout);
       }
     }
   }
 
-  core::VerifierOptions VOpts;
-  VOpts.Jobs = Opts.Jobs;
-  VOpts.Governor = Governor;
-  core::Verifier Verifier(Ctx, File->Repo, File->Registry, VOpts);
-  bool AllClientsOk = true;
-  bool AnyInconclusive = false;
-
-  for (const auto &[Name, Client] : File->Clients) {
-    std::string ClientName(Ctx.interner().text(Name));
-    std::cout << "== client " << ClientName << " ==\n";
-
-    std::optional<plan::Plan> FirstValid;
-
-    // Declared plans first.
-    for (const syntax::PlanDecl &Decl : File->Plans) {
-      if (Decl.Client != Name)
-        continue;
-      std::string PlanName(Ctx.interner().text(Decl.Name));
-      if (!Opts.OnlyPlan.empty() && PlanName != Opts.OnlyPlan)
-        continue;
-      core::PlanVerdict Verdict =
-          Verifier.checkPlan(Client, Name, Decl.Pi);
-      std::cout << "plan " << PlanName << " "
-                << Decl.Pi.str(Ctx.interner()) << ": ";
-      if (Verdict.inconclusive()) {
-        std::optional<ResourceExhausted> E = Verdict.exhaustedReason();
-        std::cout << "Inconclusive(resource: "
-                  << (E ? resourceKindName(E->Which) : "unknown") << ")\n";
-        AnyInconclusive = true;
-        continue;
-      }
-      std::cout << (Verdict.isValid() ? "VALID" : "invalid") << "\n";
-      for (const core::RequestCheck &C : Verdict.RequestChecks)
-        if (!C.Compliant && !C.Exhausted) {
-          std::cout << "  request " << C.Request << ": not compliant";
-          if (C.Witness)
-            std::cout << " (" << C.Witness->str(Ctx) << ")";
-          std::cout << "\n";
-        }
-      if (!Verdict.Security.Valid &&
-          Verdict.Security.Failure !=
-              validity::PlanFailureKind::None &&
-          Verdict.Security.Failure !=
-              validity::PlanFailureKind::ResourceExhausted) {
-        std::cout << "  security: failed";
-        if (Verdict.Security.Policy)
-          std::cout << " (policy "
-                    << Verdict.Security.Policy->str(Ctx.interner()) << ")";
-        if (!Verdict.Security.Trace.empty()) {
-          std::cout << " via";
-          for (const std::string &L : Verdict.Security.Trace)
-            std::cout << " " << L;
-        }
-        std::cout << "\n";
-      }
-      if (Verdict.isValid() && !FirstValid)
-        FirstValid = Decl.Pi;
-    }
-
-    // Enumerated candidates.
-    if (Opts.Enumerate && Opts.OnlyPlan.empty()) {
-      core::VerificationReport Report = Verifier.verifyClient(Client, Name);
-      core::printReport(Report, Ctx, std::cout);
-      if (Report.anyInconclusive())
-        AnyInconclusive = true;
-      if (!FirstValid) {
-        std::vector<plan::Plan> Valid = Report.validPlans();
-        if (!Valid.empty())
-          FirstValid = Valid.front();
-      }
-    }
-
-    if (!FirstValid) {
-      AllClientsOk = false;
+  core::RunTally Tally;
+  for (const auto &[Name, Client] : File.Clients) {
+    std::optional<plan::Plan> FirstValid = S->verifyClient(
+        Name, Client, Opts.OnlyPlan, Opts.Enumerate, std::cout, Tally);
+    if (!FirstValid || !Opts.Run)
       continue;
-    }
 
-    if (Opts.Run) {
-      net::InterpreterOptions IOpts;
-      // --monitor fused: fuse the policies of everything this run can
-      // execute (shared via the verifier cache across clients). A refused
-      // fusion leaves IOpts.FusedMonitor null and the interpreter on the
-      // legacy probe — same verdicts either way.
-      std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused;
-      if (Opts.FusedMonitor) {
-        std::vector<const hist::Expr *> Behaviors{Client};
-        for (plan::Loc L : File->Repo.locations())
-          Behaviors.push_back(File->Repo.find(L));
-        monitor::FuseOptions FO;
-        FO.Gov = Governor.get();
-        Fused = Verifier.cache()->fusedMonitors().fuse(
-            File->Registry, Ctx.interner(),
-            monitor::collectPolicyRefs(Behaviors),
-            policy::eventUniverse(Behaviors), FO);
-        IOpts.FusedMonitor = Fused.get();
-      }
-      net::Interpreter Interp(Ctx, File->Repo, File->Registry,
-                              {{Name, Client, *FirstValid}}, IOpts);
-      net::RunStats Stats = Interp.run(/*Seed=*/1);
-      std::cout << "run: " << Stats.StepsTaken << " steps, "
-                << (Stats.AllCompleted ? "completed" : "stuck")
-                << ", history: "
-                << Interp.history(0).str(Ctx.interner()) << "\n";
-      if (Opts.Trace)
-        for (const std::string &Line : Interp.trace())
-          std::cout << "  " << Line << "\n";
+    net::InterpreterOptions IOpts;
+    // --monitor fused: fuse the policies of everything this run can
+    // execute (shared via the verifier cache across clients). A refused
+    // fusion leaves IOpts.FusedMonitor null and the interpreter on the
+    // legacy probe — same verdicts either way.
+    std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused;
+    if (Opts.FusedMonitor) {
+      std::vector<const hist::Expr *> Behaviors{Client};
+      for (plan::Loc L : File.Repo.locations())
+        Behaviors.push_back(File.Repo.find(L));
+      monitor::FuseOptions FO;
+      FO.Gov = Governor.get();
+      Fused = S->verifier().cache()->fusedMonitors().fuse(
+          File.Registry, Ctx.interner(),
+          monitor::collectPolicyRefs(Behaviors),
+          policy::eventUniverse(Behaviors), FO);
+      IOpts.FusedMonitor = Fused.get();
     }
+    net::Interpreter Interp(Ctx, File.Repo, File.Registry,
+                            {{Name, Client, *FirstValid}}, IOpts);
+    net::RunStats Stats = Interp.run(/*Seed=*/1);
+    std::cout << "run: " << Stats.StepsTaken << " steps, "
+              << (Stats.AllCompleted ? "completed" : "stuck")
+              << ", history: " << Interp.history(0).str(Ctx.interner())
+              << "\n";
+    if (Opts.Trace)
+      for (const std::string &Line : Interp.trace())
+        std::cout << "  " << Line << "\n";
   }
-
-  // Inconclusive outranks "no valid plan": a missing plan under a tripped
-  // budget is not a refutation, and conflating the two would let CI treat
-  // an under-provisioned run as a real verification failure.
-  if (AnyInconclusive)
-    return 3;
-  return AllClientsOk ? 0 : 1;
+  return Tally.exitCode();
 }
 
 //===----------------------------------------------------------------------===//
 // susc lint
 //===----------------------------------------------------------------------===//
 
-struct LintCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
-  std::string InputPath;
+struct LintCliOptions : FileCommand {
   analysis::LintOptions Lint;
   DiagFormat Format = DiagFormat::Text;
-  std::string TraceOut;   ///< Chrome trace_event JSON output path.
-  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
   bool ListPasses = false;
 };
 
 bool parseLintArgs(int Argc, char **Argv, LintCliOptions &Opts) {
-  // Argv[1] is the "lint" subcommand itself.
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--trace-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
-        return false;
-    } else if (Arg == "--metrics-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
-        return false;
-    } else if (Arg.rfind("--diag-format=", 0) == 0) {
-      if (!parseDiagFormat(Arg, Opts.Format))
-        return false;
-    } else if (Arg == "-Werror") {
+  auto Own = [&](const std::string &Arg, int &) {
+    if (Arg.rfind("--diag-format=", 0) == 0)
+      return taken(parseDiagFormat(Arg, Opts.Format));
+    if (Arg == "-Werror")
       Opts.Lint.WarningsAsErrors = true;
-    } else if (Arg.rfind("-Werror=", 0) == 0) {
+    else if (Arg.rfind("-Werror=", 0) == 0)
       Opts.Lint.ErrorIds.insert(Arg.substr(std::string("-Werror=").size()));
-    } else if (Arg.rfind("--disable=", 0) == 0) {
+    else if (Arg.rfind("--disable=", 0) == 0)
       Opts.Lint.DisabledIds.insert(
           Arg.substr(std::string("--disable=").size()));
-    } else if (Arg == "--list-passes") {
-      Opts.ListPasses = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printLintUsage(std::cerr);
-      return false;
-    } else if (Opts.InputPath.empty()) {
-      Opts.InputPath = Arg;
-    } else {
-      std::cerr << "susc: multiple input files\n";
-      return false;
-    }
-  }
-  if (Opts.InputPath.empty() && !Opts.ListPasses) {
-    printLintUsage(std::cerr);
-    return false;
-  }
-  return true;
+    else if (Arg == "--list-passes")
+      Opts.ListPasses = Opts.InputOptional = true;
+    else
+      return Flag::NotMine;
+    return Flag::Taken;
+  };
+  // Argv[1] is the "lint" subcommand itself.
+  return parseFileCommand(Argc, Argv, /*First=*/2, Opts, printLintUsage, Own);
 }
 
 int runLint(const LintCliOptions &Opts) {
@@ -662,261 +532,53 @@ int runLint(const LintCliOptions &Opts) {
     return 0;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
+  std::unique_ptr<core::Session> S =
+      openSession(Opts.InputPath, /*Jobs=*/1, /*Governor=*/nullptr,
+                  Opts.Format, std::cout);
+  if (!S)
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
-  DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags, Opts.InputPath);
-  if (!File) {
-    Diags.print(std::cout, Opts.Format);
-    return 2;
-  }
-
-  analysis::LintContext LC(Ctx, *File, Opts.InputPath, Opts.Lint, Diags);
-  unsigned Findings = analysis::runLintPasses(LC);
-  Diags.print(std::cout, Opts.Format);
-  if (Opts.Format == DiagFormat::Text)
-    std::cout << Opts.InputPath << ": " << Findings << " finding(s)\n";
-  return Findings ? 1 : 0;
+  return S->lint(Opts.Lint, Opts.Format, std::cout);
 }
 
 //===----------------------------------------------------------------------===//
 // susc plan
 //===----------------------------------------------------------------------===//
 
-struct PlanCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
-  std::string InputPath;
-  std::string TraceOut;
-  std::string MetricsOut;
-  bool UseIndex = true;
-  unsigned Jobs = 1;
+struct PlanCliOptions : FileCommand {
+  uint64_t Jobs = 1;
   uint64_t ChurnRounds = 0;
   uint64_t Seed = 1;
-  uint64_t DeadlineMs = CliOptions::NoLimit;
-  uint64_t MaxProductStates = CliOptions::NoLimit;
-  uint64_t MaxSubsetStates = CliOptions::NoLimit;
+  TenantBudget Budget; ///< --deadline-ms / --max-*-states
 };
 
 bool parsePlanArgs(int Argc, char **Argv, PlanCliOptions &Opts) {
+  auto Own = [&](const std::string &Arg, int &I) {
+    if (Arg == "--churn")
+      return taken(
+          takeCount(Argc, Argv, I, Arg, Opts.ChurnRounds, /*Min=*/1));
+    if (Arg == "--seed")
+      return taken(takeCount(Argc, Argv, I, Arg, Opts.Seed));
+    if (Arg == "--jobs")
+      return taken(takeCount(Argc, Argv, I, Arg, Opts.Jobs, 1, MaxJobs));
+    if (uint64_t *Field = budgetField(Arg, Opts.Budget))
+      return taken(takeCount(Argc, Argv, I, Arg, *Field));
+    return Flag::NotMine;
+  };
   // Argv[1] is the "plan" subcommand itself.
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--index") {
-      Opts.UseIndex = true;
-    } else if (Arg == "--no-index") {
-      Opts.UseIndex = false;
-    } else if (Arg == "--churn") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/1, Opts.ChurnRounds))
-        return false;
-    } else if (Arg == "--seed") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.Seed))
-        return false;
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseJobsValue(Value, Opts.Jobs))
-        return false;
-    } else if (Arg == "--deadline-ms") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.DeadlineMs))
-        return false;
-    } else if (Arg == "--max-product-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxProductStates))
-        return false;
-    } else if (Arg == "--max-subset-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxSubsetStates))
-        return false;
-    } else if (Arg == "--trace-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
-        return false;
-    } else if (Arg == "--metrics-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
-        return false;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printPlanUsage(std::cerr);
-      return false;
-    } else if (Opts.InputPath.empty()) {
-      Opts.InputPath = Arg;
-    } else {
-      std::cerr << "susc: multiple input files\n";
-      return false;
-    }
-  }
-  if (Opts.InputPath.empty()) {
-    printPlanUsage(std::cerr);
-    return false;
-  }
-  return true;
-}
-
-/// A percentile over recorded repair latencies (rounded-down index, the
-/// same convention as the benchmarks).
-int64_t percentileUs(std::vector<int64_t> Sorted, size_t Pct) {
-  if (Sorted.empty())
-    return 0;
-  std::sort(Sorted.begin(), Sorted.end());
-  return Sorted[std::min(Sorted.size() - 1, Sorted.size() * Pct / 100)];
+  return parseFileCommand(Argc, Argv, /*First=*/2, Opts, printPlanUsage, Own);
 }
 
 int runPlan(const PlanCliOptions &Opts) {
-  std::shared_ptr<ResourceGovernor> Governor;
-  if (Opts.DeadlineMs != CliOptions::NoLimit ||
-      Opts.MaxProductStates != CliOptions::NoLimit ||
-      Opts.MaxSubsetStates != CliOptions::NoLimit) {
-    Governor = std::make_shared<ResourceGovernor>();
-    if (Opts.MaxProductStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::ProductStates, Opts.MaxProductStates);
-    if (Opts.MaxSubsetStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::SubsetStates, Opts.MaxSubsetStates);
-    if (Opts.DeadlineMs != CliOptions::NoLimit)
-      Governor->setDeadlineAfterMillis(Opts.DeadlineMs);
-  }
-
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
+  std::unique_ptr<core::Session> S =
+      openSession(Opts.InputPath, Opts.Jobs, Opts.Budget.governor(),
+                  DiagFormat::Text, std::cerr);
+  if (!S)
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
-  DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags, Opts.InputPath);
-  Diags.print(std::cerr, DiagFormat::Text);
-  if (!File)
-    return 2;
-
-  core::VerifierOptions VOpts;
-  VOpts.Jobs = Opts.Jobs;
-  VOpts.Governor = Governor;
-  VOpts.UseIndex = Opts.UseIndex;
-  core::Verifier Verifier(Ctx, File->Repo, File->Registry, VOpts);
-
-  bool AllClientsOk = true;
-  bool AnyInconclusive = false;
-
-  // Deterministic churn picks: a tiny LCG (constants from Numerical
-  // Recipes) so replays are reproducible across runs and platforms.
-  uint64_t Rng = Opts.Seed;
-  auto NextRand = [&Rng]() {
-    Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return Rng >> 33;
-  };
-
-  for (const auto &[Name, Client] : File->Clients) {
-    std::string ClientName(Ctx.interner().text(Name));
-    std::cout << "== client " << ClientName << " ==\n";
-
-    core::RepairSession Session(Verifier, Client, Name);
-    const core::VerificationReport &Baseline = Session.verify();
-    std::cout << "candidate plans: " << Baseline.CandidateCount
-              << " (bindings tried: " << Baseline.BindingsTried << ")";
-    if (Baseline.Truncated)
-      std::cout << " [truncated]";
-    if (Baseline.EnumerationExhausted)
-      std::cout << " [enumeration inconclusive: "
-                << resourceKindName(Baseline.EnumerationExhausted->Which)
-                << "]";
-    std::cout << "\n";
-    std::cout << "valid plans: " << Baseline.validPlans().size() << "\n";
-    if (const plan::ServiceIndex *Index = Verifier.index()) {
-      plan::IndexStats IStats = Index->stats();
-      std::cout << "index: " << Index->size() << " services, "
-                << IStats.Lookups << " lookups (" << IStats.Hits
-                << " memo hits), " << IStats.Candidates
-                << " candidates, prescreen rejects: "
-                << IStats.AlphabetRejects << " alphabet + "
-                << IStats.FirstStepRejects << " first-step\n";
-    }
-
-    if (Opts.ChurnRounds > 0) {
-      std::vector<plan::Loc> Locs = File->Repo.locations();
-      if (Locs.empty()) {
-        std::cerr << "susc: --churn needs a non-empty repository\n";
-        return 2;
-      }
-      size_t Kept = 0, Dropped = 0, Reverified = 0, Repairs = 0;
-      std::vector<int64_t> LatenciesUs;
-      bool Tripped = false;
-      for (uint64_t Round = 0; Round < Opts.ChurnRounds && !Tripped;
-           ++Round) {
-        plan::Loc L = Locs[NextRand() % Locs.size()];
-        const hist::Expr *Service = File->Repo.find(L);
-        unsigned Capacity = File->Repo.capacity(L);
-        // One round = remove + re-publish: the repository ends the round
-        // unchanged, and both delta directions get exercised.
-        for (int Phase = 0; Phase < 2; ++Phase) {
-          plan::RepositoryDelta Delta;
-          Delta.Changes.push_back(
-              Phase == 0
-                  ? plan::applyRemove(File->Repo, L)
-                  : plan::applyPublish(File->Repo, L, Service, Capacity));
-          auto Start = std::chrono::steady_clock::now();
-          Outcome<core::RepairStats> Repair = Session.applyDelta(Delta);
-          auto End = std::chrono::steady_clock::now();
-          LatenciesUs.push_back(
-              std::chrono::duration_cast<std::chrono::microseconds>(End -
-                                                                    Start)
-                  .count());
-          ++Repairs;
-          if (!Repair.ok()) {
-            std::cout << "churn: round " << Round
-                      << " Inconclusive(resource: "
-                      << resourceKindName(Repair.exhausted().Which) << ")\n";
-            AnyInconclusive = true;
-            Tripped = true;
-            break;
-          }
-          Kept += Repair.value().PlansKept;
-          Dropped += Repair.value().PlansDropped;
-          Reverified += Repair.value().PlansReverified;
-        }
-      }
-      std::cout << "churn: " << Repairs << " repairs over "
-                << Opts.ChurnRounds << " round(s), plans kept " << Kept
-                << ", dropped " << Dropped << ", reverified " << Reverified
-                << "\n";
-      std::cout << "repair latency: p50 " << percentileUs(LatenciesUs, 50)
-                << " us, p99 " << percentileUs(LatenciesUs, 99) << " us\n";
-      std::cout << "valid plans after churn: "
-                << Session.report().validPlans().size() << "\n";
-    }
-
-    const core::VerificationReport &Final = Session.report();
-    if (Final.anyInconclusive())
-      AnyInconclusive = true;
-    if (Final.validPlans().empty())
-      AllClientsOk = false;
-  }
-
-  if (AnyInconclusive)
-    return 3;
-  return AllClientsOk ? 0 : 1;
+  std::string Err;
+  int Code = S->planReport(Opts.ChurnRounds, Opts.Seed, std::cout, Err);
+  if (!Err.empty())
+    std::cerr << "susc: " << Err << "\n";
+  return Code;
 }
 
 //===----------------------------------------------------------------------===//
@@ -924,7 +586,7 @@ int runPlan(const PlanCliOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 struct FuzzCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
+  bool Help = false; ///< --help/-h: print usage, exit 0 (see FileCommand).
   uint64_t Seeds = 100;
   uint64_t BaseSeed = 0;
   bool SeedSet = false; ///< --seed was given explicitly.
@@ -955,46 +617,28 @@ void printFuzzUsage(std::ostream &OS) {
 }
 
 bool parseFuzzArgs(int Argc, char **Argv, FuzzCliOptions &Opts) {
+  // The sweep length and the generator knobs: counts of at least 1.
+  const std::pair<std::string, uint64_t *> Counts[] = {
+      {"--seeds", &Opts.Seeds},       {"--depth", &Opts.Depth},
+      {"--alphabet", &Opts.Alphabet}, {"--policies", &Opts.Policies},
+      {"--services", &Opts.Services}, {"--clients", &Opts.Clients},
+      {"--width", &Opts.Width},       {"--trace-len", &Opts.TraceLen}};
   // Argv[1] is the "fuzz" subcommand itself.
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto Count = [&](uint64_t MinValue, uint64_t &Out) {
-      std::string Value;
-      return takeValue(Argc, Argv, I, Arg, Value) &&
-             parseCountValue(Arg, Value, MinValue, Out);
-    };
-    if (Arg == "--seeds") {
-      if (!Count(1, Opts.Seeds))
+    auto Count = std::find_if(std::begin(Counts), std::end(Counts),
+                              [&](const auto &C) { return C.first == Arg; });
+    if (Count != std::end(Counts)) {
+      if (!takeCount(Argc, Argv, I, Arg, *Count->second, /*Min=*/1))
         return false;
     } else if (Arg == "--seed") {
-      if (!Count(0, Opts.BaseSeed))
+      if (!takeCount(Argc, Argv, I, Arg, Opts.BaseSeed))
         return false;
       Opts.SeedSet = true;
     } else if (Arg == "--replay") {
       Opts.Replay = true;
     } else if (Arg == "--no-chaos") {
       Opts.NoChaos = true;
-    } else if (Arg == "--depth") {
-      if (!Count(1, Opts.Depth))
-        return false;
-    } else if (Arg == "--alphabet") {
-      if (!Count(1, Opts.Alphabet))
-        return false;
-    } else if (Arg == "--policies") {
-      if (!Count(1, Opts.Policies))
-        return false;
-    } else if (Arg == "--services") {
-      if (!Count(1, Opts.Services))
-        return false;
-    } else if (Arg == "--clients") {
-      if (!Count(1, Opts.Clients))
-        return false;
-    } else if (Arg == "--width") {
-      if (!Count(1, Opts.Width))
-        return false;
-    } else if (Arg == "--trace-len") {
-      if (!Count(1, Opts.TraceLen))
-        return false;
     } else if (Arg == "--help" || Arg == "-h") {
       Opts.Help = true;
       return true;
@@ -1083,20 +727,8 @@ int runFuzz(const FuzzCliOptions &Opts) {
 // Observability plumbing
 //===----------------------------------------------------------------------===//
 
-/// Turns the tracer/registry on ahead of the tool run when the matching
-/// output flag was given. With both flags absent this is a no-op and every
-/// instrumentation point in the pipeline stays a single atomic load.
-void enableObservability(const std::string &TraceOut,
-                         const std::string &MetricsOut) {
-  if (!TraceOut.empty())
-    trace::enable();
-  if (!MetricsOut.empty())
-    metrics::enable();
-}
-
 /// Writes the trace/metrics files after the tool ran. Returns false (with a
-/// diagnostic) if an output file cannot be written; the caller folds that
-/// into exit code 2 unless the run itself already failed harder.
+/// diagnostic) if an output file cannot be written.
 bool writeObservability(const std::string &TraceOut,
                         const std::string &MetricsOut) {
   bool Ok = true;
@@ -1118,6 +750,32 @@ bool writeObservability(const std::string &TraceOut,
   if (!MetricsOut.empty())
     WriteTo(MetricsOut, [](std::ostream &OS) { metrics::writeJson(OS); });
   return Ok;
+}
+
+/// Parses and runs one file-taking mode. The tracer and registry are
+/// switched on only when their output flag was given: with both absent
+/// every instrumentation point in the pipeline stays a single atomic
+/// load. An output file that cannot be written turns exit 0 into 2.
+template <typename Options>
+int runFileCommand(int Argc, char **Argv,
+                   bool (*Parse)(int, char **, Options &),
+                   void (*Usage)(std::ostream &),
+                   int (*Run)(const Options &)) {
+  Options Opts;
+  if (!Parse(Argc, Argv, Opts))
+    return 2;
+  if (Opts.Help) {
+    Usage(std::cout);
+    return 0;
+  }
+  if (!Opts.TraceOut.empty())
+    trace::enable();
+  if (!Opts.MetricsOut.empty())
+    metrics::enable();
+  int Code = Run(Opts);
+  if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
+    Code = 2;
+  return Code;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1209,34 +867,10 @@ bool looksLikeSubcommand(const std::string &Arg) {
 int main(int Argc, char **Argv) {
   if (Argc > 1 && std::string(Argv[1]) == "--connect")
     return runConnect(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "plan") {
-    PlanCliOptions Opts;
-    if (!parsePlanArgs(Argc, Argv, Opts))
-      return 2;
-    if (Opts.Help) {
-      printPlanUsage(std::cout);
-      return 0;
-    }
-    enableObservability(Opts.TraceOut, Opts.MetricsOut);
-    int Code = runPlan(Opts);
-    if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-      Code = 2;
-    return Code;
-  }
-  if (Argc > 1 && std::string(Argv[1]) == "lint") {
-    LintCliOptions Opts;
-    if (!parseLintArgs(Argc, Argv, Opts))
-      return 2;
-    if (Opts.Help) {
-      printLintUsage(std::cout);
-      return 0;
-    }
-    enableObservability(Opts.TraceOut, Opts.MetricsOut);
-    int Code = runLint(Opts);
-    if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-      Code = 2;
-    return Code;
-  }
+  if (Argc > 1 && std::string(Argv[1]) == "plan")
+    return runFileCommand(Argc, Argv, parsePlanArgs, printPlanUsage, runPlan);
+  if (Argc > 1 && std::string(Argv[1]) == "lint")
+    return runFileCommand(Argc, Argv, parseLintArgs, printLintUsage, runLint);
   if (Argc > 1 && std::string(Argv[1]) == "fuzz") {
     FuzzCliOptions Opts;
     if (!parseFuzzArgs(Argc, Argv, Opts))
@@ -1253,16 +887,5 @@ int main(int Argc, char **Argv) {
                  "pass a .sus file to verify)\n";
     return 2;
   }
-  CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 2;
-  if (Opts.Help) {
-    printUsage(std::cout);
-    return 0;
-  }
-  enableObservability(Opts.TraceOut, Opts.MetricsOut);
-  int Code = runTool(Opts);
-  if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-    Code = 2;
-  return Code;
+  return runFileCommand(Argc, Argv, parseArgs, printUsage, runTool);
 }

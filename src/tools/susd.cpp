@@ -11,6 +11,9 @@
 ///   susd --snapshot s.bin --warm file.sus      one-shot verify (warm)
 ///   susd --warm --save-snapshot s.bin file.sus cut a snapshot
 ///
+/// Every report comes from the same core::Session `susc` runs, so
+/// `susd --warm FILE` prints exactly what `susc FILE` prints.
+///
 /// Clients talk to a listening daemon with `susc --connect SOCKET VERB
 /// [key=value]...` and exit with the code the request earned (the plain
 /// susc contract: 0 ok, 1 refuted, 2 usage/parse error, 3 inconclusive).
@@ -23,9 +26,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
+#include "support/ParseInt.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -43,13 +45,12 @@ struct DaemonCliOptions {
   std::string SnapshotIn;      ///< --snapshot: load at startup.
   std::string SnapshotOut;     ///< --save-snapshot: write before exit/serve.
   bool Warm = false;           ///< --warm: verify every client at startup.
-  bool UseIndex = true;        ///< --no-index clears.
-  unsigned Jobs = 1;
-  unsigned Workers = 2;        ///< Connection-handling threads.
+  uint64_t Jobs = 1;
+  uint64_t Workers = 2;        ///< Connection-handling threads.
   std::vector<std::string> TenantSpecs;
 };
 
-constexpr unsigned long MaxJobs = 256;
+constexpr uint64_t MaxJobs = 256;
 
 void printUsage(std::ostream &OS) {
   OS << "usage: susd [options] file.sus\n"
@@ -67,7 +68,6 @@ void printUsage(std::ostream &OS) {
         "                      (one-shot) / before serving (daemon)\n"
         "  --jobs N            verifier worker threads (1..256)\n"
         "  --workers N         connection-handling threads (default 2)\n"
-        "  --no-index          disable the ServiceIndex\n"
         "  --tenant SPEC       per-tenant budget NAME:DL_MS:PROD:SUB\n"
         "                      (empty fields = no limit; NAME '*' sets the\n"
         "                      default; repeatable)\n"
@@ -75,66 +75,49 @@ void printUsage(std::ostream &OS) {
         "            shutdown, 2 on usage/parse/snapshot errors\n";
 }
 
-bool takeValue(int Argc, char **Argv, int &I, const std::string &Flag,
-               std::string &Out) {
-  if (I + 1 >= Argc) {
-    std::cerr << "susd: missing value for '" << Flag << "'\n";
-    return false;
-  }
-  Out = Argv[++I];
-  return true;
-}
-
-bool parseUnsigned(const std::string &Flag, const std::string &Value,
-                   unsigned long Max, unsigned &Out) {
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
-    std::cerr << "susd: " << Flag << " expects a positive integer, got '"
-              << Value << "'\n";
-    return false;
-  }
-  errno = 0;
-  unsigned long N = std::strtoul(Value.c_str(), nullptr, 10);
-  if (errno == ERANGE || N > Max || N == 0) {
-    std::cerr << "susd: " << Flag << " value '" << Value
-              << "' is out of range (1.." << Max << ")\n";
-    return false;
-  }
-  Out = static_cast<unsigned>(N);
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    // Consumes the operand of Arg, diagnosing a missing one.
+    auto Value = [&](std::string &Out) {
+      if (I + 1 >= Argc) {
+        std::cerr << "susd: missing value for '" << Arg << "'\n";
+        return false;
+      }
+      Out = Argv[++I];
+      return true;
+    };
+    // Consumes a thread count (1..MaxJobs).
+    auto Threads = [&](uint64_t &Out) {
+      std::string Text, Err;
+      if (!Value(Text))
+        return false;
+      if (!parseInteger(Arg, Text, Out, Err, /*Min=*/1, MaxJobs)) {
+        std::cerr << "susd: " << Err << "\n";
+        return false;
+      }
+      return true;
+    };
     if (Arg == "--listen") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.ListenPath))
+      if (!Value(Opts.ListenPath))
         return false;
     } else if (Arg == "--snapshot") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.SnapshotIn))
+      if (!Value(Opts.SnapshotIn))
         return false;
     } else if (Arg == "--save-snapshot") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.SnapshotOut))
+      if (!Value(Opts.SnapshotOut))
         return false;
     } else if (Arg == "--warm") {
       Opts.Warm = true;
-    } else if (Arg == "--no-index") {
-      Opts.UseIndex = false;
     } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseUnsigned(Arg, Value, MaxJobs, Opts.Jobs))
+      if (!Threads(Opts.Jobs))
         return false;
     } else if (Arg == "--workers") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseUnsigned(Arg, Value, MaxJobs, Opts.Workers))
+      if (!Threads(Opts.Workers))
         return false;
     } else if (Arg == "--tenant") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value))
+      if (!Value(Opts.TenantSpecs.emplace_back()))
         return false;
-      Opts.TenantSpecs.push_back(Value);
     } else if (Arg == "--help" || Arg == "-h") {
       Opts.Help = true;
       return true;
@@ -156,8 +139,8 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
   return true;
 }
 
-bool readFile(const std::string &Path, std::string &Out, bool Binary) {
-  std::ifstream In(Path, Binary ? std::ios::binary : std::ios::in);
+bool readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
   if (!In)
     return false;
   std::stringstream Buffer;
@@ -178,8 +161,6 @@ int main(int Argc, char **Argv) {
   }
 
   daemon::EngineOptions EOpts;
-  EOpts.Jobs = Opts.Jobs;
-  EOpts.UseIndex = Opts.UseIndex;
   for (const std::string &Spec : Opts.TenantSpecs) {
     std::string Err;
     if (!EOpts.Tenants.addSpec(Spec, Err)) {
@@ -189,28 +170,29 @@ int main(int Argc, char **Argv) {
   }
 
   std::string Source;
-  if (!readFile(Opts.InputPath, Source, /*Binary=*/false)) {
+  if (!readFile(Opts.InputPath, Source)) {
     std::cerr << "susd: cannot open '" << Opts.InputPath << "'\n";
     return 2;
   }
 
   std::string Err;
-  std::unique_ptr<daemon::Engine> Engine =
-      daemon::Engine::create(std::move(Source), Opts.InputPath, EOpts, Err);
-  if (!Engine) {
+  std::unique_ptr<core::Session> Session = core::Session::create(
+      std::move(Source), Opts.InputPath, static_cast<unsigned>(Opts.Jobs),
+      /*Governor=*/nullptr, DiagFormat::Text, Err);
+  if (!Session) {
     std::cerr << Err;
     return 2;
   }
 
   if (!Opts.SnapshotIn.empty()) {
     std::string Bytes;
-    if (!readFile(Opts.SnapshotIn, Bytes, /*Binary=*/true)) {
+    if (!readFile(Opts.SnapshotIn, Bytes)) {
       std::cerr << "susd: cannot open snapshot '" << Opts.SnapshotIn
                 << "'\n";
       return 2;
     }
     core::SnapshotStats Stats;
-    if (!Engine->loadSnapshotBytes(Bytes, Err, &Stats)) {
+    if (!Session->loadSnapshot(Bytes, Err, &Stats)) {
       // The rejection contract: a bad snapshot is a clean exit 2 with a
       // diagnostic, never a partial load (CI asserts on this).
       std::cerr << "susd: snapshot rejected: " << Err << "\n";
@@ -224,28 +206,24 @@ int main(int Argc, char **Argv) {
 
   int WarmCode = 0;
   if (Opts.Warm)
-    WarmCode = Engine->warmAll(std::cout);
+    WarmCode = Session->verifyAll(std::cout);
 
   if (!Opts.SnapshotOut.empty()) {
     core::SnapshotStats Stats;
-    std::string Bytes = Engine->saveSnapshotBytes(&Stats);
-    std::ofstream Out(Opts.SnapshotOut, std::ios::binary | std::ios::trunc);
-    if (!Out ||
-        !Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()))) {
-      std::cerr << "susd: cannot write snapshot '" << Opts.SnapshotOut
-                << "'\n";
+    if (!Session->saveSnapshot(Opts.SnapshotOut, Err, &Stats)) {
+      std::cerr << "susd: " << Err << "\n";
       return 2;
     }
-    Out.close();
     std::cerr << "susd: snapshot saved (" << Stats.Bytes << " bytes)\n";
   }
 
   if (Opts.ListenPath.empty())
     return WarmCode;
 
+  daemon::Engine Engine(std::move(Session), std::move(EOpts));
   daemon::ServeOptions SOpts;
   SOpts.SocketPath = Opts.ListenPath;
-  SOpts.Workers = Opts.Workers;
+  SOpts.Workers = static_cast<unsigned>(Opts.Workers);
   SOpts.Log = &std::cout;
-  return daemon::serve(*Engine, SOpts);
+  return daemon::serve(Engine, SOpts);
 }

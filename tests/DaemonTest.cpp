@@ -6,8 +6,8 @@
 /// line cap and malformed frames are clean errors), the per-tenant
 /// budget table (spec parsing, min-combination, governor arming), and
 /// the Engine itself driven in-process through the same handle() path a
-/// connection uses — verify/lint/churn verdicts, snapshot save/load,
-/// per-request deadlines and the shutdown handshake.
+/// connection uses — verify/lint/churn verdicts, snapshot save/load
+/// (atomic on disk), per-request deadlines and the shutdown handshake.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 using namespace sus;
 using namespace sus::daemon;
@@ -161,6 +165,22 @@ std::string exampleSource(const char *Name) {
   return Buffer.str();
 }
 
+std::string readAll(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+std::unique_ptr<core::Session> makeSession(const char *Name = "hotel.sus") {
+  std::string Err;
+  std::unique_ptr<core::Session> S = core::Session::create(
+      exampleSource(Name), Name, /*Jobs=*/1, /*Governor=*/nullptr,
+      DiagFormat::Text, Err);
+  EXPECT_NE(S, nullptr) << Err;
+  return S;
+}
+
 std::unique_ptr<Engine> makeEngine(const char *Name = "hotel.sus",
                                    EngineOptions Opts = {}) {
   std::string Err;
@@ -239,29 +259,69 @@ TEST(Engine, PerRequestDeadlineTripsToInconclusive) {
 }
 
 TEST(Engine, SnapshotBytesRoundTripThroughAFreshEngine) {
-  auto E = makeEngine();
-  std::ostringstream Cold;
-  E->warmAll(Cold);
+  std::unique_ptr<core::Session> Cold = makeSession();
+  std::ostringstream ColdOut;
+  Cold->verifyAll(ColdOut);
   core::SnapshotStats SaveStats;
-  std::string Bytes = E->saveSnapshotBytes(&SaveStats);
+  std::string Bytes = Cold->snapshot(&SaveStats);
   EXPECT_EQ(SaveStats.Bytes, Bytes.size());
   EXPECT_GT(SaveStats.Compliances, 0u);
 
-  auto Fresh = makeEngine();
+  std::unique_ptr<core::Session> Fresh = makeSession();
   std::string Err;
   core::SnapshotStats LoadStats;
-  ASSERT_TRUE(Fresh->loadSnapshotBytes(Bytes, Err, &LoadStats)) << Err;
+  ASSERT_TRUE(Fresh->loadSnapshot(Bytes, Err, &LoadStats)) << Err;
   EXPECT_EQ(LoadStats.Compliances, SaveStats.Compliances);
-  std::ostringstream Warm;
-  EXPECT_EQ(Fresh->warmAll(Warm), 0);
-  EXPECT_EQ(Warm.str(), Cold.str());
+  Engine Warm(std::move(Fresh), {});
+  std::ostringstream WarmOut;
+  EXPECT_EQ(Warm.warmAll(WarmOut), 0);
+  EXPECT_EQ(WarmOut.str(), ColdOut.str());
 
   // Corrupt bytes are rejected with a diagnostic, never absorbed.
   std::string Bad = Bytes;
   Bad[Bytes.size() / 2] = static_cast<char>(Bad[Bytes.size() / 2] ^ 0x10);
-  auto Victim = makeEngine();
-  EXPECT_FALSE(Victim->loadSnapshotBytes(Bad, Err));
+  std::unique_ptr<core::Session> Victim = makeSession();
+  EXPECT_FALSE(Victim->loadSnapshot(Bad, Err));
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(Engine, SnapshotVerbReplacesTheFileAtomically) {
+  std::string Dir =
+      (std::filesystem::temp_directory_path() / "sus-snapshot-XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  std::string Path = Dir + "/cache.snap";
+  auto E = makeEngine();
+  Request Save = req("snapshot");
+  Save.Params["file"] = Path;
+  ASSERT_EQ(E->handle(Save).Exit, 0);
+  std::string Before = readAll(Path);
+  ASSERT_FALSE(Before.empty());
+
+  // A reader holding the old snapshot open across the next save must
+  // still see every original byte: the save replaces the file, it never
+  // rewrites it in place. The verify in between grows the cache, so the
+  // second snapshot differs from the first.
+  std::ifstream Held(Path, std::ios::binary);
+  ASSERT_TRUE(Held.good());
+  ASSERT_EQ(E->handle(req("verify")).Exit, 0);
+  ASSERT_EQ(E->handle(Save).Exit, 0);
+  EXPECT_TRUE(readAll(Path) != Before) << "the second snapshot is the same";
+  std::stringstream HeldBytes;
+  HeldBytes << Held.rdbuf();
+  EXPECT_TRUE(HeldBytes.str() == Before)
+      << "the snapshot held open changed under its reader";
+
+  // Nothing but the snapshot is left in the directory.
+  std::vector<std::string> Left;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Left.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"cache.snap"});
+
+  // An unwritable target is a clean exit-2 response.
+  Save.Params["file"] = Dir + "/missing/cache.snap";
+  EXPECT_EQ(E->handle(Save).Exit, 2);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(Engine, ShutdownVerbFlipsTheFlag) {

@@ -3,23 +3,29 @@
 /// The ServiceIndex contract: candidates() returns a sorted superset of
 /// the compliant locations, the pre-screens never reject a pair the full
 /// Def. 4 check accepts, an indexed enumeration (under a compliance
-/// filter) emits bit-for-bit the plan set a repository scan emits, and an
-/// incrementally patched index answers like a freshly rebuilt one.
+/// filter) emits bit-for-bit the plan set a repository scan emits — and a
+/// Verifier over the shipped examples reports the same verdicts either
+/// way — and an incrementally patched index answers like a freshly
+/// rebuilt one.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "contract/Compliance.h"
 #include "contract/Prescreen.h"
 #include "core/HotelExample.h"
+#include "core/Verifier.h"
 #include "plan/PlanEnumerator.h"
 #include "plan/RepositoryDelta.h"
 #include "plan/RequestExtract.h"
 #include "plan/ServiceIndex.h"
+#include "syntax/FileParser.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -283,6 +289,77 @@ TEST_F(ServiceIndexTest, IndexedHotelEnumerationMatchesScan) {
     EnumerationResult I = enumeratePlans(Client, Ex.Repo, Indexed);
     EXPECT_EQ(S.Plans, I.Plans);
     EXPECT_LE(I.BindingsTried, S.BindingsTried);
+  }
+}
+
+/// Everything a VerificationReport says except BindingsTried, the one
+/// count the index exists to lower.
+void expectSameReportButBindings(const core::VerificationReport &Scan,
+                                 const core::VerificationReport &Indexed,
+                                 const HistContext &Ctx) {
+  EXPECT_EQ(Scan.CandidateCount, Indexed.CandidateCount);
+  EXPECT_EQ(Scan.Truncated, Indexed.Truncated);
+  EXPECT_EQ(Scan.EnumerationExhausted.has_value(),
+            Indexed.EnumerationExhausted.has_value());
+  EXPECT_LE(Indexed.BindingsTried, Scan.BindingsTried);
+  ASSERT_EQ(Scan.Verdicts.size(), Indexed.Verdicts.size());
+  for (size_t I = 0; I < Scan.Verdicts.size(); ++I) {
+    const core::PlanVerdict &A = Scan.Verdicts[I];
+    const core::PlanVerdict &B = Indexed.Verdicts[I];
+    EXPECT_EQ(A.Pi, B.Pi) << "plan " << I;
+    ASSERT_EQ(A.RequestChecks.size(), B.RequestChecks.size()) << "plan " << I;
+    for (size_t J = 0; J < A.RequestChecks.size(); ++J) {
+      const core::RequestCheck &RA = A.RequestChecks[J];
+      const core::RequestCheck &RB = B.RequestChecks[J];
+      EXPECT_EQ(RA.Request, RB.Request);
+      EXPECT_EQ(RA.Service, RB.Service);
+      EXPECT_EQ(RA.Compliant, RB.Compliant);
+      EXPECT_EQ(RA.Exhausted.has_value(), RB.Exhausted.has_value());
+      ASSERT_EQ(RA.Witness.has_value(), RB.Witness.has_value());
+      if (RA.Witness) {
+        EXPECT_EQ(RA.Witness->str(Ctx), RB.Witness->str(Ctx));
+      }
+    }
+    EXPECT_EQ(A.Security.Valid, B.Security.Valid) << "plan " << I;
+    EXPECT_EQ(A.Security.Failure, B.Security.Failure);
+    EXPECT_EQ(A.Security.Policy, B.Security.Policy);
+    EXPECT_EQ(A.Security.Request, B.Security.Request);
+    EXPECT_EQ(A.Security.Trace, B.Security.Trace);
+    EXPECT_EQ(A.Security.ExploredStates, B.Security.ExploredStates);
+    EXPECT_EQ(A.Security.HasStuckConfiguration,
+              B.Security.HasStuckConfiguration);
+  }
+  // And the rendering agrees once the one legitimate difference is hidden.
+  core::VerificationReport A = Scan, B = Indexed;
+  A.BindingsTried = B.BindingsTried = 0;
+  std::ostringstream SA, SB;
+  core::printReport(A, Ctx, SA);
+  core::printReport(B, Ctx, SB);
+  EXPECT_EQ(SA.str(), SB.str());
+}
+
+TEST(PlanIndexDifferential, ShippedExamplesVerifyAlikeIndexedAndScanned) {
+  for (const char *Name : {"hotel.sus", "marketplace.sus"}) {
+    SCOPED_TRACE(Name);
+    std::ifstream In(std::string(SUS_EXAMPLES_DIR "/") + Name);
+    ASSERT_TRUE(In.good());
+    std::stringstream Source;
+    Source << In.rdbuf();
+    HistContext Ctx;
+    DiagnosticEngine Diags;
+    std::optional<syntax::SusFile> File =
+        syntax::parseSusFile(Ctx, Source.str(), Diags, Name);
+    ASSERT_TRUE(File.has_value());
+
+    core::VerifierOptions ScanOpts;
+    ScanOpts.UseIndex = false;
+    core::Verifier Scan(Ctx, File->Repo, File->Registry, ScanOpts);
+    core::Verifier Indexed(Ctx, File->Repo, File->Registry);
+    ASSERT_NE(Indexed.index(), nullptr);
+    ASSERT_FALSE(File->Clients.empty());
+    for (const auto &[Loc, Client] : File->Clients)
+      expectSameReportButBindings(Scan.verifyClient(Client, Loc),
+                                  Indexed.verifyClient(Client, Loc), Ctx);
   }
 }
 

@@ -6,7 +6,8 @@ Usage: check_metrics_json.py SUSC_BINARY SCHEMA_JSON EXAMPLE_SUS \
 
 Runs the shipped example through susc five ways and asserts:
   1. `--metrics-out` emits JSON valid against tests/metrics_schema.json
-     (the normative sus-metrics-v1 schema);
+     (the normative sus-metrics-v1 schema), and the verify run counts
+     `plan.index.lookups` (the index is the only enumeration);
   2. `--trace-out` emits well-formed Chrome trace_event JSON;
   3. both also work through the `susc lint` subcommand;
   4. stdout/stderr and the exit code are bit-for-bit identical with and
@@ -25,9 +26,9 @@ With the optional BENCH_PLANS argument (the bench_plans binary), also
 smoke-runs the plan-search benchmark the same way and asserts the emitted
 JSON validates and actually exercised indexed candidate selection:
 `plan.index.lookups` > 0 and `plan.enumerator.plans` > 0. The `susc plan`
-subcommand is additionally driven with `--metrics-out` (indexed, with one
-churn round) and its metrics must validate and count `plan.index.lookups`
-and `plan.repair.runs`.
+subcommand is additionally driven with `--metrics-out` (with one churn
+round) and its metrics must validate and count `plan.index.lookups` and
+`plan.repair.runs`.
 
 The schema validator is deliberately minimal and self-contained — it
 implements exactly the JSON Schema subset the schema file uses (type,
@@ -140,10 +141,10 @@ def check_bench_plans(bench, schema, tmp):
 
 
 def check_susc_plan(susc, schema, example, tmp):
-    """The `susc plan` leg: an indexed run with one churn round must emit
-    valid metrics that count the index and the repair engine."""
+    """The `susc plan` leg: a run with one churn round must emit valid
+    metrics that count the index and the repair engine."""
     metrics = str(Path(tmp) / "plan-metrics.json")
-    res = run([susc, "plan", "--index", "--churn", "1", "--seed", "7",
+    res = run([susc, "plan", "--churn", "1", "--seed", "7",
                "--metrics-out", metrics, example])
     if res.returncode not in (0, 1):
         fail(f"susc plan failed: exit {res.returncode}\n{res.stderr}")
@@ -151,7 +152,7 @@ def check_susc_plan(susc, schema, example, tmp):
     validate(plan, schema)
     counters = plan["counters"]
     if counters.get("plan.index.lookups", 0) <= 0:
-        fail("susc plan --index performed no plan.index.lookups")
+        fail("susc plan performed no plan.index.lookups")
     if counters.get("plan.repair.runs", 0) <= 0:
         fail("susc plan --churn performed no plan.repair.runs")
 
@@ -181,7 +182,11 @@ def main():
         if observed.stdout != plain.stdout or observed.stderr != plain.stderr:
             fail("observability flags changed the tool output")
 
-        validate(json.loads(Path(metrics).read_text()), schema)
+        verify_metrics = json.loads(Path(metrics).read_text())
+        validate(verify_metrics, schema)
+        # `susc FILE` enumerates through the ServiceIndex, like susd.
+        if verify_metrics["counters"].get("plan.index.lookups", 0) <= 0:
+            fail("susc FILE performed no plan.index.lookups")
         n_events = check_trace(trace)
 
         # The lint subcommand honours the same flags.

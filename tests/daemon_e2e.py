@@ -12,8 +12,13 @@ headline contracts:
   3. Concurrent serving: N threads x M `susc --connect` verify requests
      against one daemon must all return identical bytes and exit codes,
      and a shutdown request must stop the daemon with exit 0.
+  4. One engine: on every given file, `susc FILE`, `susd --warm FILE` and
+     `susc --connect SOCK verify` print identical bytes and exit with the
+     same code.
 
-Usage: daemon_e2e.py <susd> <susc> <file.sus>
+Checks 1-3 run on the first file; check 4 runs on all of them.
+
+Usage: daemon_e2e.py <susd> <susc> <file.sus>...
 """
 
 import os
@@ -105,6 +110,43 @@ def wait_for_socket(path, proc, deadline_s=30):
     fail("susd socket %s never came up" % path)
 
 
+def first_difference(a, b):
+    for n, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if x != y:
+            return "line %d: %r vs %r" % (n, x, y)
+    return "lengths %d vs %d" % (len(a), len(b))
+
+
+def check_front_ends_agree(susd, susc, sus_file, tmp):
+    one_shot = run([susc, sus_file])
+    warm = run([susd, "--warm", sus_file])
+    sock = os.path.join(tmp, "agree.sock")
+    daemon = subprocess.Popen([susd, "--listen", sock, sus_file],
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    try:
+        wait_for_socket(sock, daemon)
+        served = run([susc, "--connect", sock, "verify"])
+        run([susc, "--connect", sock, "shutdown"])
+        if daemon.wait(timeout=30) != 0:
+            fail("%s: daemon exit code %d after shutdown"
+                 % (os.path.basename(sus_file), daemon.returncode))
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    name = os.path.basename(sus_file)
+    for what, r in (("susd --warm", warm), ("susc --connect verify", served)):
+        if r.returncode != one_shot.returncode:
+            fail("%s: %s exits %d, susc exits %d"
+                 % (name, what, r.returncode, one_shot.returncode))
+        if r.stdout != one_shot.stdout:
+            fail("%s: %s output differs from susc: %s"
+                 % (name, what, first_difference(r.stdout, one_shot.stdout)))
+    print("daemon_e2e: %s: susc, susd --warm and --connect verify agree "
+          "byte for byte (exit %d)" % (name, one_shot.returncode))
+
+
 def check_daemon(susd, susc, sus_file, tmp):
     sock = os.path.join(tmp, "susd.sock")
     daemon = subprocess.Popen(
@@ -163,14 +205,17 @@ def check_daemon(susd, susc, sus_file, tmp):
 
 
 def main():
-    if len(sys.argv) != 4:
-        fail("usage: daemon_e2e.py <susd> <susc> <file.sus>")
-    susd, susc, sus_file = sys.argv[1:]
+    if len(sys.argv) < 4:
+        fail("usage: daemon_e2e.py <susd> <susc> <file.sus>...")
+    susd, susc = sys.argv[1:3]
+    sus_files = sys.argv[3:]
     # AF_UNIX sun_path is ~108 bytes; keep the socket under /tmp, not the
     # (potentially deep) build tree.
     with tempfile.TemporaryDirectory(prefix="susd-e2e-", dir="/tmp") as tmp:
-        check_snapshot_restart(susd, sus_file, tmp)
-        check_daemon(susd, susc, sus_file, tmp)
+        check_snapshot_restart(susd, sus_files[0], tmp)
+        check_daemon(susd, susc, sus_files[0], tmp)
+        for sus_file in sus_files:
+            check_front_ends_agree(susd, susc, sus_file, tmp)
     print("daemon_e2e: all checks passed")
 
 
