@@ -2,13 +2,15 @@
 ///
 /// \file
 /// Experiment B8 (DESIGN.md §9): per-event admission throughput of the
-/// fused-DFA runtime monitor against the legacy per-policy probe, plus
+/// lazily fused runtime monitor against the legacy per-policy probe, plus
 /// fusion cost, cache-hit cost, and sharded batch ingestion through the
-/// MonitorEngine (with a p99 batch-latency counter).
+/// MonitorEngine (with a p99 batch-latency counter) for a narrow and a
+/// wide policy set.
 ///
-/// The workload is a fixed session shape: 4 parametric policy shapes,
-/// each instantiated twice (8 fused policies, the mask is a single
-/// uint32), over a 24-event closed universe. Offending edges are gated
+/// The narrow workload is a fixed session shape: 4 parametric policy
+/// shapes, each instantiated twice (8 fused policies), over a 24-event
+/// closed universe; the wide one instantiates 16 shapes four times (64
+/// policies, one full PolicySet word). Offending edges are gated
 /// on an event value the trace never fires, so monitors churn state on
 /// every label but never latch a violation — the same batch can be
 /// re-ingested indefinitely and neither side ever takes the trivial
@@ -79,7 +81,8 @@ policy::UsageAutomaton makeShape(StringInterner &In, unsigned I,
   return A;
 }
 
-std::unique_ptr<Workload> buildWorkload(size_t NumEvents) {
+std::unique_ptr<Workload> buildWorkload(size_t NumEvents, unsigned Shapes,
+                                        unsigned InstsPerShape) {
   auto WP = std::make_unique<Workload>();
   Workload &W = *WP;
   StringInterner &In = W.Ctx.interner();
@@ -88,13 +91,12 @@ std::unique_ptr<Workload> buildWorkload(size_t NumEvents) {
   for (unsigned I = 0; I < 8; ++I)
     Names.push_back(In.intern("e" + std::to_string(I)));
 
-  for (unsigned I = 0; I < 4; ++I) {
+  for (unsigned I = 0; I < Shapes; ++I) {
     policy::UsageAutomaton A = makeShape(In, I, Names);
     Symbol Name = A.name();
     W.Registry.add(std::move(A));
-    // Two instantiations per shape: 8 fused policies total.
-    W.Refs.push_back({Name, {{Value::integer(2)}}});
-    W.Refs.push_back({Name, {{Value::integer(3)}}});
+    for (unsigned K = 0; K < InstsPerShape; ++K)
+      W.Refs.push_back({Name, {{Value::integer(2 + K)}}});
   }
 
   for (Symbol N : Names)
@@ -126,21 +128,23 @@ std::unique_ptr<Workload> buildWorkload(size_t NumEvents) {
 }
 
 Workload &workload() {
-  static std::unique_ptr<Workload> W = buildWorkload(/*NumEvents=*/1024);
+  static std::unique_ptr<Workload> W =
+      buildWorkload(/*NumEvents=*/1024, /*Shapes=*/4, /*InstsPerShape=*/2);
+  return *W;
+}
+
+Workload &wideWorkload() {
+  static std::unique_ptr<Workload> W =
+      buildWorkload(/*NumEvents=*/1024, /*Shapes=*/16, /*InstsPerShape=*/4);
   return *W;
 }
 
 const monitor::FusedPolicyAutomaton &fused() {
   static monitor::FusedPolicyAutomaton F = [] {
     Workload &W = workload();
-    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-        W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
-    if (!Out.ok()) {
-      std::fprintf(stderr, "bench_monitor: fusion refused: %s\n",
-                   Out.exhausted().str().c_str());
-      std::abort();
-    }
-    return Out.takeValue();
+    return monitor::fusePolicies(W.Registry, W.Ctx.interner(), W.Refs,
+                                 W.Universe)
+        .takeValue();
   }();
   return F;
 }
@@ -181,8 +185,8 @@ void BM_LegacyAdvance(benchmark::State &State) {
 }
 BENCHMARK(BM_LegacyAdvance);
 
-/// Fused probe+commit: one stepIndex + mask test per event, the same
-/// admission question BM_LegacyProbeAdvance answers.
+/// Fused probe+commit: one table load + offending test per event, the
+/// same admission question BM_LegacyProbeAdvance answers.
 void BM_FusedProbeAdvance(benchmark::State &State) {
   const monitor::FusedPolicyAutomaton &F = fused();
   Workload &W = workload();
@@ -219,16 +223,16 @@ BENCHMARK(BM_FusedAdvance);
 // Fusion construction and cache hits
 //===----------------------------------------------------------------------===//
 
+/// Fusion alone: per-policy compiles and minimizations, no product.
 void BM_Fusion(benchmark::State &State) {
   Workload &W = workload();
-  size_t States = 0;
   for (auto _ : State) {
-    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-        W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
-    States = Out.ok() ? Out.value().numStates() : 0;
-    benchmark::DoNotOptimize(States);
+    monitor::FusedPolicyAutomaton F =
+        monitor::fusePolicies(W.Registry, W.Ctx.interner(), W.Refs,
+                              W.Universe)
+            .takeValue();
+    benchmark::DoNotOptimize(F.Policies.data());
   }
-  State.counters["fused_states"] = static_cast<double>(States);
 }
 BENCHMARK(BM_Fusion);
 
@@ -237,10 +241,8 @@ BENCHMARK(BM_Fusion);
 void BM_FusionCacheHit(benchmark::State &State) {
   Workload &W = workload();
   monitor::FusedCache Cache;
-  if (!Cache.fuse(W.Registry, W.Ctx.interner(), W.Refs, W.Universe)) {
-    State.SkipWithError("priming fusion refused");
-    return;
-  }
+  benchmark::DoNotOptimize(
+      Cache.fuse(W.Registry, W.Ctx.interner(), W.Refs, W.Universe).get());
   for (auto _ : State) {
     auto F = Cache.fuse(W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
     benchmark::DoNotOptimize(F.get());
@@ -254,11 +256,11 @@ BENCHMARK(BM_FusionCacheHit);
 // MonitorEngine: sharded batch ingestion (events/sec + p99 batch latency)
 //===----------------------------------------------------------------------===//
 
-/// Ingests an 8192-item batch over 64 sessions; range(0) is the worker
-/// count (1 = no pool). Reports items/sec and the p99 wall-clock latency
-/// of a whole ingest() call in microseconds.
-void BM_EngineIngest(benchmark::State &State) {
-  Workload &W = workload();
+/// Ingests an 8192-item batch over 64 sessions of \p W; range(0) is the
+/// worker count (1 = no pool). The first batch starts from a cold
+/// transition table. Reports items/sec and the p99 wall-clock latency of
+/// a whole ingest() call in microseconds.
+void runEngineIngest(benchmark::State &State, Workload &W) {
   monitor::MonitorEngine::Options EO;
   EO.Workers = static_cast<unsigned>(State.range(0));
   monitor::MonitorEngine Engine(W.Registry, W.Ctx.interner(), EO);
@@ -266,10 +268,6 @@ void BM_EngineIngest(benchmark::State &State) {
   constexpr unsigned NumSessions = 64;
   for (unsigned I = 0; I < NumSessions; ++I) {
     auto S = Engine.openSession(W.Refs, W.Universe);
-    if (!Engine.isFused(S)) {
-      State.SkipWithError("session unexpectedly fell back to legacy");
-      return;
-    }
     for (const Label &L : W.FrameOpens)
       Engine.advance(S, L);
   }
@@ -300,48 +298,19 @@ void BM_EngineIngest(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(BatchSize));
 }
+
+void BM_EngineIngest(benchmark::State &State) {
+  runEngineIngest(State, workload());
+}
 // Real time: the calling thread parks in waitIdle while pool workers do
 // the stepping, so CPU-time rates would be meaningless for Workers > 1.
 BENCHMARK(BM_EngineIngest)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// Same batch through sessions forced onto the legacy fallback (fusion
-/// refused by a 1-state governor budget): the engine-level baseline.
-void BM_EngineIngestLegacyFallback(benchmark::State &State) {
-  Workload &W = workload();
-  ResourceGovernor Gov;
-  Gov.setLimit(ResourceKind::ProductStates, 1);
-  monitor::MonitorEngine::Options EO;
-  EO.Workers = 1;
-  EO.Gov = &Gov;
-  monitor::MonitorEngine Engine(W.Registry, W.Ctx.interner(), EO);
-
-  constexpr unsigned NumSessions = 64;
-  for (unsigned I = 0; I < NumSessions; ++I) {
-    auto S = Engine.openSession(W.Refs, W.Universe);
-    if (Engine.isFused(S)) {
-      State.SkipWithError("session unexpectedly fused under a 1-state cap");
-      return;
-    }
-    for (const Label &L : W.FrameOpens)
-      Engine.advance(S, L);
-  }
-
-  std::vector<monitor::MonitorEngine::BatchItem> Batch;
-  constexpr size_t BatchSize = 8192;
-  for (size_t I = 0; I < BatchSize; ++I)
-    Batch.push_back({static_cast<monitor::MonitorEngine::SessionId>(
-                         I % NumSessions),
-                     W.Events[I % W.Events.size()]});
-
-  std::vector<uint8_t> Decisions;
-  for (auto _ : State) {
-    Engine.ingest(Batch, &Decisions);
-    benchmark::DoNotOptimize(Decisions.data());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(BatchSize));
+/// The same batch shape over 64-policy sessions (one full PolicySet word).
+void BM_EngineIngestWide(benchmark::State &State) {
+  runEngineIngest(State, wideWorkload());
 }
-BENCHMARK(BM_EngineIngestLegacyFallback);
+BENCHMARK(BM_EngineIngestWide)->Arg(1)->Arg(4)->UseRealTime();
 
 } // namespace
 

@@ -22,7 +22,6 @@
 #define SUS_CORE_VERIFIERCACHE_H
 
 #include "contract/Compliance.h"
-#include "monitor/Fused.h"
 #include "plan/Plan.h"
 #include "plan/RepositoryDelta.h"
 #include "support/Sync.h"
@@ -109,12 +108,6 @@ public:
   EvictionStats invalidate(const plan::RepositoryDelta &Delta,
                            const plan::Repository &Current);
 
-  /// Fused runtime-monitor DFAs keyed by policy-set fingerprint, shared
-  /// by every session this cache serves (monitor::FusedCache is itself
-  /// thread-safe, so no VerifierCache lock is involved).
-  monitor::FusedCache &fusedMonitors() { return FusedMonitors; }
-  const monitor::FusedCache &fusedMonitors() const { return FusedMonitors; }
-
   /// One memoized compliance verdict, keys flattened for serialization.
   struct ComplianceEntry {
     const hist::Expr *RequestBody = nullptr;
@@ -176,8 +169,7 @@ private:
   /// Leaf lock over the memo tables and stats. Held across a compliance
   /// product on a miss (the pre-warm serialization the parallel pipeline
   /// relies on), but never while calling back into user code, and no
-  /// other lock is ever taken under it (FusedMonitors synchronizes
-  /// itself and is deliberately outside M's scope).
+  /// other lock is ever taken under it.
   mutable Mutex M;
   VerifierStats Stats SUS_GUARDED_BY(M);
   std::map<const hist::Expr *, const hist::Expr *>
@@ -187,7 +179,6 @@ private:
       Compliances SUS_GUARDED_BY(M);
   std::map<ValidityKey, validity::StaticValidityResult>
       Validities SUS_GUARDED_BY(M);
-  monitor::FusedCache FusedMonitors;
 };
 
 } // namespace core

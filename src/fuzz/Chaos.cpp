@@ -132,10 +132,10 @@ void soakClient(hist::HistContext &Ctx, const syntax::SusFile &File,
                       " changed after tripped runs shared the cache"});
 }
 
-/// A fusion refused under a tripped governor must not be recorded; the
-/// next ungoverned fuse through the same cache must compute it fresh and
-/// agree with the legacy probe.
-void soakFusedCache(hist::HistContext &Ctx, const syntax::SusFile &File,
+/// A session whose fusion a 1-2 state ProductStates budget caps runs past
+/// the table bound; fusion must not refuse, and the session must decide
+/// every label like the legacy probe.
+void soakTableBound(hist::HistContext &Ctx, const syntax::SusFile &File,
                     std::mt19937_64 &Rng, std::vector<Divergence> &Out) {
   std::vector<const hist::Expr *> Behaviors;
   for (plan::Loc L : File.Repo.locations())
@@ -147,46 +147,54 @@ void soakFusedCache(hist::HistContext &Ctx, const syntax::SusFile &File,
   if (Refs.empty() || Universe.empty())
     return;
 
+  ResourceGovernor Tiny;
+  Tiny.setLimit(ResourceKind::ProductStates, 1 + Rng() % 2);
+  monitor::FuseOptions TinyOpts;
+  TinyOpts.Gov = &Tiny;
   monitor::FusedCache Cache;
-  ResourceGovernor Tripped;
-  Tripped.setDeadlineAfterMillis(0);
-  monitor::FuseOptions TrippedOpts;
-  TrippedOpts.Gov = &Tripped;
-  auto Refused =
-      Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe, TrippedOpts);
-  if (Refused != nullptr) {
-    Out.push_back({"chaos", "fusion succeeded under an already-expired "
-                            "deadline governor"});
-    return;
-  }
-  if (Cache.stats().Fusions != 0) {
-    Out.push_back({"chaos", "refused fusion was recorded in the FusedCache"});
+  auto Fused =
+      Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe, TinyOpts);
+  if (Cache.stats().Refusals != 0) {
+    Out.push_back({"chaos", "fusion refused under a tiny table budget"});
     return;
   }
 
-  auto Full = Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe);
-  if (!Full)
-    return; // Ungoverned refusal = genuine capacity limit, not pollution.
-  if (Cache.stats().Fusions != 1) {
-    Out.push_back(
-        {"chaos", "ungoverned fuse after a refusal did not compute fresh"});
-    return;
-  }
-
-  // The post-refusal fusion must still agree with the legacy probe.
-  monitor::SessionMonitor Monitor(*Full);
+  monitor::SessionMonitor Monitor(*Fused);
   policy::ValidityChecker Legacy(File.Registry, Ctx.interner());
-  for (unsigned I = 0; I < 16; ++I) {
-    hist::Label L =
-        hist::Label::event(Universe[Rng() % Universe.size()]);
-    Legacy.append(L);
-    Monitor.advance(L);
-    if (Legacy.isValid() != !Monitor.isViolated()) {
-      Out.push_back({"chaos", "post-refusal fused DFA disagrees with the "
-                              "legacy probe"});
+  std::vector<hist::Label> Labels;
+  for (unsigned I = 0; I < 32; ++I) {
+    hist::Label L = hist::Label::event(Universe[Rng() % Universe.size()]);
+    if (Rng() % 4 == 0) {
+      const hist::PolicyRef &Ref = Refs[Rng() % Refs.size()];
+      L = Rng() % 2 ? hist::Label::frameOpen(Ref)
+                    : hist::Label::frameClose(Ref);
+    }
+    Labels.push_back(L);
+    if (Legacy.wouldRemainValid(L) != Monitor.wouldAdmit(L) ||
+        Legacy.append(L) != Monitor.advance(L)) {
+      Out.push_back({"chaos", "session past the table bound disagrees "
+                              "with the legacy probe on " +
+                                  L.str(Ctx.interner())});
       return;
     }
   }
+  if (Fused->numStates() > Tiny.limit(ResourceKind::ProductStates))
+    Out.push_back({"chaos", "fused transition table outgrew its budget"});
+
+  // No cache pollution: an ungoverned request after the governed one gets
+  // a table as large as an uncached fusion reaches on the same labels.
+  auto Free = Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe);
+  monitor::FusedPolicyAutomaton Fresh =
+      monitor::fusePolicies(File.Registry, Ctx.interner(), Refs, Universe)
+          .takeValue();
+  monitor::SessionMonitor FreeMonitor(*Free), FreshMonitor(Fresh);
+  for (const hist::Label &L : Labels) {
+    FreeMonitor.advance(L);
+    FreshMonitor.advance(L);
+  }
+  if (Free->numStates() != Fresh.numStates())
+    Out.push_back({"chaos", "an ungoverned fusion inherited the table "
+                            "budget of a governed one from the cache"});
 }
 
 } // namespace
@@ -197,5 +205,5 @@ void sus::fuzz::chaosSoak(hist::HistContext &Ctx, const syntax::SusFile &File,
   std::mt19937_64 Rng(Seed * 0xbf58476d1ce4e5b9ull + 7);
   for (const auto &[Name, Client] : File.Clients)
     soakClient(Ctx, File, Name, Client, Rng, Rounds, Out);
-  soakFusedCache(Ctx, File, Rng, Out);
+  soakTableBound(Ctx, File, Rng, Out);
 }

@@ -12,8 +12,11 @@
 ///      same plan. A tripped run may know less, never something wrong.
 ///   2. No cache pollution: after any number of tripped runs, a clean
 ///      verifier sharing the same cache reproduces the ungoverned report
-///      element-wise; and a fusion refused under a tripped governor is
-///      never recorded in the FusedCache.
+///      element-wise.
+///
+/// It also runs a fused monitor whose transition table a tiny governor
+/// budget caps, so the session walks past the table bound; it must still
+/// decide every label like the per-policy probe.
 ///
 //===----------------------------------------------------------------------===//
 

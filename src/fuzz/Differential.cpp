@@ -178,10 +178,9 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   if (Refs.empty() || Universe.empty())
     return;
 
-  Outcome<monitor::FusedPolicyAutomaton> Fused =
-      monitor::fusePolicies(File.Registry, Ctx.interner(), Refs, Universe);
-  if (!Fused.ok())
-    return; // Refusal (width/budget) is a capacity decision, not a bug.
+  monitor::FusedPolicyAutomaton Fused =
+      monitor::fusePolicies(File.Registry, Ctx.interner(), Refs, Universe)
+          .takeValue();
 
   // Pool of framing refs to open/close mid-trace: every collected ref,
   // one "ghost" naming an undeclared policy, and one trivial ref.
@@ -193,7 +192,7 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   OpenPool.push_back(hist::PolicyRef());
 
   std::mt19937_64 Rng(Seed * 0x9e3779b97f4a7c15ull + 1);
-  monitor::SessionMonitor Monitor(Fused.value());
+  monitor::SessionMonitor Monitor(Fused);
   policy::ValidityChecker Legacy(File.Registry, Ctx.interner());
 
   for (unsigned I = 0; I < TraceLen; ++I) {

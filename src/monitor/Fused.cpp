@@ -1,4 +1,4 @@
-//===- monitor/Fused.cpp - Fused multi-policy monitor DFAs ----------------===//
+//===- monitor/Fused.cpp - Lazily fused multi-policy monitor --------------===//
 
 #include "monitor/Fused.h"
 
@@ -11,7 +11,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <set>
+#include <span>
 
 using namespace sus;
 using namespace sus::monitor;
@@ -22,11 +23,6 @@ int FusedPolicyAutomaton::policyBit(const PolicyRef &Ref) const {
   if (It == Policies.end() || !(*It == Ref))
     return -1;
   return static_cast<int>(It - Policies.begin());
-}
-
-bool FusedPolicyAutomaton::isUnknown(const PolicyRef &Ref) const {
-  return std::binary_search(UnknownPolicies.begin(), UnknownPolicies.end(),
-                            Ref);
 }
 
 void sus::monitor::canonicalizePolicySet(std::vector<PolicyRef> &Refs,
@@ -122,18 +118,172 @@ sus::monitor::collectPolicyRefs(const std::vector<const Expr *> &Exprs) {
   return Out;
 }
 
-namespace {
+//===----------------------------------------------------------------------===//
+// The lazily filled product table
+//===----------------------------------------------------------------------===//
 
-struct TupleHash {
-  size_t operator()(const std::vector<automata::StateId> &V) const noexcept {
-    size_t Seed = V.size();
-    for (automata::StateId S : V)
-      hashCombineValue(Seed, S);
-    return Seed;
+namespace sus {
+namespace monitor {
+
+class ProductTable {
+public:
+  /// \p Parts are the minimized per-policy DFAs, total over event indices
+  /// 0..NumEvents-1. The start tuple is always tabled, whatever \p Bound.
+  ProductTable(std::vector<automata::Dfa> PartsIn, size_t NumEvents,
+               uint64_t Bound)
+      : Parts(std::move(PartsIn)), NumEvents(NumEvents),
+        Words((Parts.size() + 63) / 64), Bound(std::max<uint64_t>(Bound, 1)) {
+    std::vector<automata::StateId> Tuple(Parts.size());
+    for (size_t I = 0; I != Parts.size(); ++I)
+      Tuple[I] = Parts[I].start();
+    MutexLock Lock(M);
+    Start = internLocked(Tuple);
   }
+
+  const ProductState *start() const { return Start; }
+
+  /// Steps every per-policy DFA of \p Tuple on event index \p Idx.
+  void step(std::vector<automata::StateId> &Tuple, uint32_t Idx) const {
+    for (size_t I = 0; I != Tuple.size(); ++I) {
+      Tuple[I] = Parts[I].stepIndex(Tuple[I], Idx);
+      assert(Tuple[I] != automata::Dfa::NoState &&
+             "minimized policy DFA must be total");
+    }
+  }
+
+  /// The policies offending at \p Tuple; empty when none.
+  PolicySet offendingOf(const std::vector<automata::StateId> &Tuple) const {
+    PolicySet Set(Words, 0);
+    bool Any = false;
+    for (size_t I = 0; I != Tuple.size(); ++I)
+      if (Parts[I].isAccepting(Tuple[I])) {
+        Set[I / 64] |= uint64_t(1) << (I % 64);
+        Any = true;
+      }
+    if (!Any)
+      Set.clear();
+    return Set;
+  }
+
+  /// The tabled state of \p Tuple, tabling it while there is room; null
+  /// once the table is full without it. A non-null \p From gets the
+  /// result as its successor on \p Idx.
+  const ProductState *lookup(const std::vector<automata::StateId> &Tuple,
+                             const ProductState *From, uint32_t Idx) {
+    const ProductState *To;
+    bool Added;
+    {
+      MutexLock Lock(M);
+      size_t Before = States.size();
+      To = internLocked(Tuple);
+      Added = States.size() != Before;
+      if (To && From)
+        From->Next[Idx].store(To, std::memory_order_release);
+    }
+    if (Added && metrics::enabled())
+      metrics::counter("monitor.fused_states").add();
+    return To;
+  }
+
+  size_t size() const {
+    MutexLock Lock(M);
+    return States.size();
+  }
+
+private:
+  using TupleView = std::span<const automata::StateId>;
+  struct ViewHash {
+    size_t operator()(TupleView V) const {
+      size_t Seed = V.size();
+      for (automata::StateId S : V)
+        hashCombineValue(Seed, S);
+      return Seed;
+    }
+  };
+  struct ViewEq {
+    bool operator()(TupleView A, TupleView B) const {
+      return std::equal(A.begin(), A.end(), B.begin(), B.end());
+    }
+  };
+
+  const ProductState *
+  internLocked(const std::vector<automata::StateId> &Tuple) SUS_REQUIRES(M) {
+    auto It = Index.find(TupleView(Tuple));
+    if (It != Index.end())
+      return It->second;
+    if (States.size() >= Bound)
+      return nullptr;
+    auto S = std::make_unique<ProductState>();
+    S->Tuple = Tuple;
+    PolicySet Offending = offendingOf(Tuple);
+    if (!Offending.empty())
+      S->Offending = &*OffendingSets.insert(std::move(Offending)).first;
+    S->Next =
+        std::make_unique<std::atomic<const ProductState *>[]>(NumEvents);
+    // The key views the state's own tuple, which never moves.
+    Index.emplace(TupleView(S->Tuple), S.get());
+    States.push_back(std::move(S));
+    return States.back().get();
+  }
+
+  const std::vector<automata::Dfa> Parts;
+  const size_t NumEvents;
+  const size_t Words;
+  const uint64_t Bound;
+  const ProductState *Start = nullptr;
+
+  /// Guards the tables below. Hits never take it (see Fused.h); no other
+  /// lock is taken under it.
+  mutable Mutex M;
+  std::vector<std::unique_ptr<ProductState>> States SUS_GUARDED_BY(M);
+  std::unordered_map<TupleView, const ProductState *, ViewHash, ViewEq>
+      Index SUS_GUARDED_BY(M);
+  /// Node-based, so interned sets never move.
+  std::set<PolicySet> OffendingSets SUS_GUARDED_BY(M);
 };
 
+} // namespace monitor
+} // namespace sus
+
+namespace {
+
+/// The table bound \p Opts asks for.
+uint64_t tableBound(const FuseOptions &Opts) {
+  uint64_t Bound = MaxTableStates;
+  if (Opts.Gov)
+    Bound = std::min(Bound, Opts.Gov->limit(ResourceKind::ProductStates));
+  return Bound;
+}
+
 } // namespace
+
+FusedPolicyAutomaton::FusedPolicyAutomaton() = default;
+FusedPolicyAutomaton::FusedPolicyAutomaton(FusedPolicyAutomaton &&) = default;
+FusedPolicyAutomaton &
+FusedPolicyAutomaton::operator=(FusedPolicyAutomaton &&) = default;
+FusedPolicyAutomaton::~FusedPolicyAutomaton() = default;
+
+size_t FusedPolicyAutomaton::numStates() const { return Table->size(); }
+
+FusedPolicyAutomaton::Cursor FusedPolicyAutomaton::start() const {
+  Cursor C;
+  C.At = Table->start();
+  return C;
+}
+
+void FusedPolicyAutomaton::stepSlow(Cursor &C, uint32_t Idx) const {
+  const ProductState *From = C.At;
+  if (From)
+    C.Tuple = From->Tuple;
+  Table->step(C.Tuple, Idx);
+  C.At = Table->lookup(C.Tuple, From, Idx);
+  if (C.At) {
+    C.Tuple.clear();
+    C.Offending.clear();
+  } else {
+    C.Offending = Table->offendingOf(C.Tuple);
+  }
+}
 
 Outcome<FusedPolicyAutomaton>
 sus::monitor::fusePolicies(const policy::PolicyRegistry &Registry,
@@ -146,190 +296,33 @@ sus::monitor::fusePolicies(const policy::PolicyRegistry &Registry,
 
   FusedPolicyAutomaton F;
   F.Universe = std::move(Universe);
-  F.Fingerprint = policySetFingerprint(Refs, F.Universe);
+  F.EventIndex.reserve(F.Universe.size());
   for (uint32_t I = 0; I < F.Universe.size(); ++I)
     F.EventIndex.emplace(F.Universe[I], I);
 
-  // Resolve each reference; uninstantiable ones need no automaton (their
-  // frame-open is a violation by construction, matching the legacy path).
-  std::vector<policy::PolicyInstance> Instances;
+  // Per-policy compile + Hopcroft. compilePolicy is total over the dense
+  // codes 0..|Universe|-1 and minimize preserves totality (it completes
+  // over the effective alphabet first), so the product never sees a
+  // missing transition. Uninstantiable references need no automaton:
+  // their frame-open is a violation by construction.
+  std::vector<automata::Dfa> Parts;
   for (const PolicyRef &Ref : Refs) {
     std::optional<policy::PolicyInstance> Inst =
         Registry.instantiate(Ref, Interner, nullptr);
-    if (Inst) {
-      F.Policies.push_back(Ref);
-      Instances.push_back(std::move(*Inst));
-    } else {
-      F.UnknownPolicies.push_back(Ref);
-    }
+    if (!Inst)
+      continue;
+    F.Policies.push_back(Ref);
+    Parts.push_back(automata::minimize(
+        policy::compilePolicy(*Inst, F.Universe).Automaton));
   }
 
-  if (F.Policies.size() > FusedPolicyAutomaton::MaxPolicies)
-    return ResourceExhausted{ResourceKind::ProductStates, F.Policies.size(),
-                             FusedPolicyAutomaton::MaxPolicies};
+  F.Table = std::make_unique<ProductTable>(std::move(Parts),
+                                           F.Universe.size(), tableBound(Opts));
 
-  // Per-policy compile + Hopcroft. compilePolicy is total over the dense
-  // codes 0..|Universe|-1 and minimize preserves totality (it completes
-  // over the effective alphabet first), so the product below never sees a
-  // missing transition.
-  const uint32_t U = static_cast<uint32_t>(F.Universe.size());
-  const size_t K = Instances.size();
-  std::vector<automata::Dfa> Parts;
-  Parts.reserve(K);
-  for (const policy::PolicyInstance &Inst : Instances)
-    Parts.push_back(
-        automata::minimize(policy::compilePolicy(Inst, F.Universe).Automaton));
-
-  // Product BFS with hash interning; states numbered in discovery order.
-  std::unordered_map<std::vector<automata::StateId>, automata::StateId,
-                     TupleHash>
-      Index;
-  std::deque<std::vector<automata::StateId>> Work;
-  std::vector<uint32_t> Masks;
-  std::vector<automata::StateId> Trans; // NumStates × U, row-major.
-
-  auto MaskOf = [&](const std::vector<automata::StateId> &Tuple) {
-    uint32_t Mask = 0;
-    for (size_t I = 0; I < K; ++I)
-      if (Parts[I].isAccepting(Tuple[I]))
-        Mask |= 1u << I;
-    return Mask;
-  };
-
-  std::optional<ResourceExhausted> Trip;
-  auto Intern =
-      [&](std::vector<automata::StateId> Tuple) -> automata::StateId {
-    auto It = Index.find(Tuple);
-    if (It != Index.end())
-      return It->second;
-    uint64_t Count = Masks.size() + 1;
-    if (Count > Opts.MaxStates) {
-      Trip = ResourceExhausted{ResourceKind::ProductStates, Count,
-                               Opts.MaxStates};
-      return automata::Dfa::NoState;
-    }
-    if (Opts.Gov)
-      if (auto E = Opts.Gov->charge(ResourceKind::ProductStates, Count)) {
-        Trip = *E;
-        return automata::Dfa::NoState;
-      }
-    auto Id = static_cast<automata::StateId>(Masks.size());
-    Masks.push_back(MaskOf(Tuple));
-    Index.emplace(Tuple, Id);
-    Work.push_back(std::move(Tuple));
-    return Id;
-  };
-
-  std::vector<automata::StateId> StartTuple(K);
-  for (size_t I = 0; I < K; ++I)
-    StartTuple[I] = Parts[I].start();
-  Intern(std::move(StartTuple));
-  if (Trip)
-    return *Trip;
-
-  while (!Work.empty()) {
-    if (Opts.Gov)
-      if (auto E = Opts.Gov->poll())
-        return *E;
-    std::vector<automata::StateId> Tuple = std::move(Work.front());
-    Work.pop_front();
-    for (uint32_t C = 0; C < U; ++C) {
-      std::vector<automata::StateId> Next(K);
-      for (size_t I = 0; I < K; ++I) {
-        Next[I] = Parts[I].stepIndex(Tuple[I], C);
-        assert(Next[I] != automata::Dfa::NoState &&
-               "minimized policy DFA must be total");
-      }
-      automata::StateId To = Intern(std::move(Next));
-      if (Trip)
-        return *Trip;
-      Trans.push_back(To);
-    }
-    // U == 0: the row is empty; the single product state still exists.
-  }
-
-  const auto N = static_cast<uint32_t>(Masks.size());
-
-  // Mask-aware Moore refinement: initial classes keyed by OffendingMask
-  // (first-occurrence order), then split on successor-class signatures
-  // until stable. This is the acceptance-vector analogue of DFA
-  // minimization — states merge only when no event sequence can ever
-  // tell their masks apart.
-  std::vector<uint32_t> Cls(N);
-  uint32_t NumCls = 0;
-  {
-    std::unordered_map<uint32_t, uint32_t> ByMask;
-    for (uint32_t S = 0; S < N; ++S) {
-      auto It = ByMask.find(Masks[S]);
-      if (It == ByMask.end())
-        It = ByMask.emplace(Masks[S], NumCls++).first;
-      Cls[S] = It->second;
-    }
-  }
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    std::unordered_map<std::vector<uint32_t>, uint32_t, TupleHash> BySig;
-    std::vector<uint32_t> NewCls(N);
-    uint32_t NewNum = 0;
-    std::vector<uint32_t> Sig(U + 1);
-    for (uint32_t S = 0; S < N; ++S) {
-      Sig[0] = Cls[S];
-      for (uint32_t C = 0; C < U; ++C)
-        Sig[C + 1] = Cls[Trans[size_t(S) * U + C]];
-      auto It = BySig.find(Sig);
-      if (It == BySig.end())
-        It = BySig.emplace(Sig, NewNum++).first;
-      NewCls[S] = It->second;
-    }
-    if (NewNum != NumCls) {
-      Changed = true;
-      NumCls = NewNum;
-    }
-    Cls = std::move(NewCls);
-  }
-
-  // Quotient automaton. Class ids are first-occurrence in state order and
-  // state 0 is the start, so the start lands on class 0 — numbering is
-  // deterministic.
-  std::vector<automata::SymbolCode> Codes(U);
-  for (uint32_t C = 0; C < U; ++C)
-    Codes[C] = C;
-  F.Automaton.reserveAlphabet(Codes);
-  F.OffendingMask.assign(NumCls, 0);
-  std::vector<uint32_t> Rep(NumCls, ~0u);
-  for (uint32_t S = 0; S < N; ++S)
-    if (Rep[Cls[S]] == ~0u)
-      Rep[Cls[S]] = S;
-  for (uint32_t B = 0; B < NumCls; ++B) {
-    automata::StateId Id = F.Automaton.addState(Masks[Rep[B]] != 0);
-    (void)Id;
-    assert(Id == B && "class numbering must be dense");
-    F.OffendingMask[B] = Masks[Rep[B]];
-  }
-  F.Automaton.setStart(Cls[0]);
-  for (uint32_t B = 0; B < NumCls; ++B)
-    for (uint32_t C = 0; C < U; ++C)
-      F.Automaton.setEdge(B, C, Cls[Trans[size_t(Rep[B]) * U + C]]);
-  SUS_AUDIT_AUTOMATON(F.Automaton);
-
-  if (metrics::enabled()) {
+  if (metrics::enabled())
     metrics::counter("monitor.fusions").add();
-    metrics::counter("monitor.fused_states").add(NumCls);
-  }
-  Span.count("policies", static_cast<int64_t>(K));
-  Span.count("states", static_cast<int64_t>(NumCls));
+  Span.count("policies", static_cast<int64_t>(F.Policies.size()));
   return F;
-}
-
-std::shared_ptr<const FusedPolicyAutomaton>
-FusedCache::find(uint64_t Fingerprint) const {
-  MutexLock Lock(M);
-  ++S.Lookups;
-  auto It = Entries.find(Fingerprint);
-  if (It == Entries.end())
-    return nullptr;
-  ++S.Hits;
-  return It->second;
 }
 
 std::shared_ptr<const FusedPolicyAutomaton>
@@ -337,11 +330,11 @@ FusedCache::fuse(const policy::PolicyRegistry &Registry,
                  const StringInterner &Interner, std::vector<PolicyRef> Refs,
                  std::vector<Event> Universe, const FuseOptions &Opts) {
   canonicalizePolicySet(Refs, Universe);
-  uint64_t Fp = policySetFingerprint(Refs, Universe);
+  Key K{std::move(Refs), std::move(Universe), tableBound(Opts)};
   {
     MutexLock Lock(M);
     ++S.Lookups;
-    auto It = Entries.find(Fp);
+    auto It = Entries.find(K);
     if (It != Entries.end()) {
       ++S.Hits;
       if (metrics::enabled())
@@ -350,44 +343,16 @@ FusedCache::fuse(const policy::PolicyRegistry &Registry,
     }
   }
   // Fuse outside the lock: a racing duplicate fusion is cheaper than
-  // serializing every session open behind one product construction.
-  Outcome<FusedPolicyAutomaton> Fused =
-      fusePolicies(Registry, Interner, std::move(Refs), std::move(Universe),
-                   Opts);
-  if (!Fused) {
-    MutexLock Lock(M);
-    ++S.Refusals;
-    if (metrics::enabled())
-      metrics::counter("monitor.fusion_fallbacks").add();
-    return nullptr;
-  }
-  auto Shared =
-      std::make_shared<const FusedPolicyAutomaton>(Fused.takeValue());
+  // serializing every session open behind one compilation.
+  auto Shared = std::make_shared<const FusedPolicyAutomaton>(
+      fusePolicies(Registry, Interner, K.Refs, K.Universe, Opts).takeValue());
   MutexLock Lock(M);
   ++S.Fusions;
-  auto [It, Inserted] = Entries.emplace(Fp, Shared);
+  auto [It, Inserted] = Entries.emplace(std::move(K), Shared);
   return Inserted ? Shared : It->second;
 }
 
 FusedCache::Stats FusedCache::stats() const {
   MutexLock Lock(M);
   return S;
-}
-
-std::vector<std::shared_ptr<const FusedPolicyAutomaton>>
-FusedCache::snapshot() const {
-  MutexLock Lock(M);
-  std::vector<std::shared_ptr<const FusedPolicyAutomaton>> Out;
-  Out.reserve(Entries.size());
-  for (const auto &[Fp, Fused] : Entries)
-    Out.push_back(Fused);
-  return Out;
-}
-
-void FusedCache::restore(
-    std::shared_ptr<const FusedPolicyAutomaton> Fused) {
-  if (!Fused)
-    return;
-  MutexLock Lock(M);
-  Entries.emplace(Fused->Fingerprint, std::move(Fused));
 }

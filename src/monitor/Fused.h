@@ -1,30 +1,36 @@
-//===- monitor/Fused.h - Fused multi-policy monitor DFAs --------*- C++ -*-===//
+//===- monitor/Fused.h - Lazily fused multi-policy monitor ------*- C++ -*-===//
 ///
 /// \file
-/// Fuses a *set* of instantiated usage policies into one flat DFA so that
-/// a session's entire monitor state is a single integer. Each policy is
-/// subset-compiled over a shared concrete event universe (policy/Compile),
-/// Hopcroft-minimized, and the product of the per-policy DFAs is built
-/// with one offending bitmask per product state (bit i set ⇔ policy i is
-/// offending there). Per-event admission then costs one branch-free
-/// `Dfa::stepIndex` plus one mask AND against the active-policy mask —
-/// the trap-state test — instead of re-running every PolicyMonitor.
+/// Fuses a *set* of instantiated usage policies into one product DFA that
+/// is built lazily, so that a session's monitor state is a single pointer.
+/// Fusion compiles each policy over a shared concrete event universe
+/// (policy/Compile) and Hopcroft-minimizes it; no product is built up
+/// front. A product state is the interned tuple of per-policy DFA states.
+/// The first time any session takes event i out of a state, the successor
+/// is computed from the per-policy DFAs and memoized in a transition table
+/// that every session of the fusion shares. Per-event admission is then one
+/// table load plus an "offending set is empty" test on the common path.
 ///
 /// Soundness contract: offending states of usage automata are absorbing,
 /// so per-policy acceptance is prefix-sticky and survives language-
-/// preserving minimization; the product is additionally reduced by a
-/// mask-aware Moore refinement (states are merged only when their masks
-/// and successor classes agree). The fused monitor is exact — it blocks a
-/// label iff the legacy ValidityChecker probe would (MonitorDiffTest
-/// proves this bit-for-bit) — *provided the universe is closed*: every
+/// preserving minimization. The fused monitor is exact — it blocks a label
+/// iff the per-policy probe of policy/Validity.h would (MonitorDiffTest
+/// proves this bit for bit) — *provided the universe is closed*: every
 /// event the session can fire must be in the fusion universe, because an
-/// unseen event could match wildcard or guard edges. Callers that cannot
-/// guarantee closure must not enable the fused path (net::Interpreter
-/// validates closure up front and falls back to the legacy probe).
+/// unseen event could match wildcard or guard edges. net::Interpreter
+/// fuses its own network's universe, so it is closed by construction;
+/// other callers of MonitorEngine must pass a closed universe.
 ///
-/// Fusion is governed: product blow-up trips the ResourceGovernor's
-/// ProductStates budget and returns ResourceExhausted, never a wrong
-/// verdict — callers fall back to the legacy probe path.
+/// Concurrency: MonitorEngine::ingest steps one fusion from several shards
+/// at once. A table hit takes no lock: it is one acquire load of a
+/// successor slot in a ProductState that never moves, and a slot never
+/// changes once set. A miss takes the table's mutex, interns the successor
+/// and publishes it with a release store.
+///
+/// The table holds at most MaxTableStates states, or the governor's
+/// ProductStates budget when that is smaller. Past the bound it stops
+/// growing: a session whose next tuple is not tabled steps the per-policy
+/// DFAs itself until it steps back into a tabled state. Nothing refuses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +44,8 @@
 #include "support/ResourceGovernor.h"
 #include "support/Sync.h"
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -47,75 +53,126 @@
 namespace sus {
 namespace monitor {
 
+/// Bound on tabled product states per fusion, governor or not, so a
+/// pathological policy set can never exhaust memory.
+constexpr uint64_t MaxTableStates = uint64_t(1) << 20;
+
 /// Knobs for one fusion.
 struct FuseOptions {
-  /// Governs the product exploration (ProductStates budget, deadline,
-  /// cancellation). Null = ungoverned, but MaxStates still applies.
+  /// Its ProductStates budget bounds the fusion's transition table (never
+  /// above MaxTableStates). Null = MaxTableStates.
   const ResourceGovernor *Gov = nullptr;
-
-  /// Hard product-state cap that holds even without a governor, so a
-  /// pathological policy set can never OOM the monitor.
-  uint64_t MaxStates = 1u << 20;
 };
 
-/// A set of instantiated policies fused into one flat DFA.
-///
-/// States are product states of the per-policy minimized DFAs (further
-/// merged by mask-aware Moore refinement); symbol code i is Universe[i],
-/// and because codes are dense 0..|Universe|-1 the compact alphabet index
-/// equals the code, so `eventIndexOf` feeds `Dfa::stepIndex` directly.
-struct FusedPolicyAutomaton {
-  /// OffendingMask is a uint32_t: a session may fuse at most 32 distinct
-  /// non-trivial policies (beyond that, fusion refuses and callers use
-  /// the legacy probe).
-  static constexpr unsigned MaxPolicies = 32;
+/// A set of fused policies: bit i of word i/64 ⇔ Policies[i]. Sets of one
+/// fusion all have the same number of words, so there is no width cap.
+using PolicySet = std::vector<uint64_t>;
 
+inline bool testBit(const PolicySet &S, unsigned Bit) {
+  return (S[Bit / 64] >> (Bit % 64)) & 1;
+}
+
+inline bool intersects(const PolicySet &A, const PolicySet &B) {
+  for (size_t W = 0; W != A.size(); ++W)
+    if (A[W] & B[W])
+      return true;
+  return false;
+}
+
+/// One tabled product state. Published states never move and never
+/// change, except that each Next slot is set at most once.
+struct ProductState {
+  /// The per-policy DFA states (the interned key).
+  std::vector<automata::StateId> Tuple;
+  /// The policies offending here, interned per fusion; null = none.
+  const PolicySet *Offending = nullptr;
+  /// Successor per event index; null until some session first takes it.
+  std::unique_ptr<std::atomic<const ProductState *>[]> Next;
+
+  const ProductState *next(uint32_t Idx) const {
+    return Next[Idx].load(std::memory_order_acquire);
+  }
+};
+
+/// The shared, lazily filled transition table (defined in Fused.cpp).
+class ProductTable;
+
+/// A set of instantiated policies fused into one lazily built DFA.
+///
+/// Event index i is Universe[i]; `eventIndexOf` translates an event once
+/// and `step` walks the product on the index.
+struct FusedPolicyAutomaton {
   /// Sentinel of eventIndexOf for events outside the universe.
   static constexpr uint32_t NoEvent = ~0u;
 
-  /// The fused transition structure; total over indices 0..|Universe|-1.
-  automata::Dfa Automaton;
-
-  /// Per fused state: bit i set ⇔ policy Policies[i] is offending.
-  std::vector<uint32_t> OffendingMask;
-
   /// The fused non-trivial, instantiable policies (sorted, distinct);
-  /// index == mask bit.
+  /// index == PolicySet bit. Referenced policies the registry cannot
+  /// instantiate are left out: opening their frame is always a violation
+  /// — exactly the per-policy probe's verdict — so they need no automaton.
   std::vector<hist::PolicyRef> Policies;
 
-  /// Referenced policies the registry could not instantiate (sorted).
-  /// Opening their frame is always a violation — exactly the legacy
-  /// checker's verdict — so they need no automaton.
-  std::vector<hist::PolicyRef> UnknownPolicies;
-
-  /// The closed event universe (sorted, distinct); index == symbol code
-  /// == compact alphabet index.
+  /// The closed event universe (sorted, distinct); index == event index.
   std::vector<hist::Event> Universe;
 
-  /// Cache key: policySetFingerprint(Policies ∪ UnknownPolicies, Universe).
-  uint64_t Fingerprint = 0;
+  /// Universe[i] ↦ i.
+  std::unordered_map<hist::Event, uint32_t> EventIndex;
 
-  /// Symbol index of \p Ev, or NoEvent when outside the universe.
+  FusedPolicyAutomaton();
+  FusedPolicyAutomaton(FusedPolicyAutomaton &&);
+  FusedPolicyAutomaton &operator=(FusedPolicyAutomaton &&);
+  ~FusedPolicyAutomaton();
+
+  /// Event index of \p Ev, or NoEvent when outside the universe.
   uint32_t eventIndexOf(const hist::Event &Ev) const {
     auto It = EventIndex.find(Ev);
     return It == EventIndex.end() ? NoEvent : It->second;
   }
 
-  /// Mask bit of \p Ref, or -1 when not fused.
+  /// PolicySet bit of \p Ref, or -1 when not fused.
   int policyBit(const hist::PolicyRef &Ref) const;
 
-  /// True when \p Ref was referenced but uninstantiable.
-  bool isUnknown(const hist::PolicyRef &Ref) const;
+  /// Words of every PolicySet of this fusion.
+  size_t setWords() const { return (Policies.size() + 63) / 64; }
 
-  /// True when \p Ref is decidable here: fused, or known-uninstantiable.
-  bool covers(const hist::PolicyRef &Ref) const {
-    return Ref.isTrivial() || policyBit(Ref) >= 0 || isUnknown(Ref);
+  /// Product states tabled so far.
+  size_t numStates() const;
+
+  /// Where a session stands in the product: a tabled state, or — past
+  /// the table bound — its own tuple of per-policy states.
+  struct Cursor {
+    const ProductState *At = nullptr;     ///< Null = off the table.
+    std::vector<automata::StateId> Tuple; ///< Off the table only.
+    PolicySet Offending;                  ///< Off the table only; empty = none.
+  };
+
+  Cursor start() const;
+
+  /// Moves \p C along event index \p Idx. A hit is one table load.
+  void step(Cursor &C, uint32_t Idx) const {
+    if (C.At)
+      if (const ProductState *N = C.At->next(Idx)) {
+        C.At = N;
+        return;
+      }
+    stepSlow(C, Idx);
   }
 
-  size_t numStates() const { return Automaton.numStates(); }
+  /// The policies offending at \p C; null = none.
+  static const PolicySet *offending(const Cursor &C) {
+    if (C.At)
+      return C.At->Offending;
+    return C.Offending.empty() ? nullptr : &C.Offending;
+  }
 
-  /// Built by fusePolicies; exposed for hot paths that pre-translate.
-  std::unordered_map<hist::Event, uint32_t> EventIndex;
+private:
+  void stepSlow(Cursor &C, uint32_t Idx) const;
+
+  std::unique_ptr<ProductTable> Table;
+
+  friend Outcome<FusedPolicyAutomaton>
+  fusePolicies(const policy::PolicyRegistry &, const StringInterner &,
+               std::vector<hist::PolicyRef>, std::vector<hist::Event>,
+               const FuseOptions &);
 };
 
 /// Canonicalizes a fusion request in place: trivial refs dropped, refs and
@@ -124,8 +181,8 @@ struct FusedPolicyAutomaton {
 void canonicalizePolicySet(std::vector<hist::PolicyRef> &Refs,
                            std::vector<hist::Event> &Universe);
 
-/// Order-independent fingerprint of a *canonicalized* policy set plus
-/// universe (the VerifierCache key for fused DFAs).
+/// Order-independent hash of a *canonicalized* policy set plus universe.
+/// Colliding sets exist, so it only buckets; FusedCache compares keys.
 uint64_t policySetFingerprint(const std::vector<hist::PolicyRef> &Refs,
                               const std::vector<hist::Event> &Universe);
 
@@ -137,10 +194,8 @@ std::vector<hist::PolicyRef> collectPolicyRefs(const hist::Expr *Root);
 std::vector<hist::PolicyRef>
 collectPolicyRefs(const std::vector<const hist::Expr *> &Exprs);
 
-/// Fuses \p Refs over \p Universe (both canonicalized internally).
-/// Returns ResourceExhausted{ProductStates,...} when the product trips
-/// the governor, the MaxStates cap, or the MaxPolicies width — callers
-/// fall back to the legacy probe path; a fused result is always exact.
+/// Fuses \p Refs over \p Universe (both canonicalized internally). Never
+/// refuses: the result is always ok().
 Outcome<FusedPolicyAutomaton>
 fusePolicies(const policy::PolicyRegistry &Registry,
              const StringInterner &Interner,
@@ -148,45 +203,50 @@ fusePolicies(const policy::PolicyRegistry &Registry,
              std::vector<hist::Event> Universe,
              const FuseOptions &Opts = FuseOptions());
 
-/// Thread-safe fingerprint-keyed cache of fused DFAs, shared across
-/// sessions with the same active policy set (core::VerifierCache owns one
-/// per verification session). Exhausted fusions are never cached, so a
-/// later run with a larger budget recomputes.
+/// Thread-safe cache of fusions keyed by the canonical request (policies
+/// and universe) and the table bound, shared across sessions with the same
+/// policy set. A hit also shares the fusion's transition table, so later
+/// sessions start warm. A request under a different bound (another
+/// governor budget, or none) gets a fusion of its own.
 class FusedCache {
 public:
-  /// The fused DFA for \p Fingerprint, or null.
-  std::shared_ptr<const FusedPolicyAutomaton> find(uint64_t Fingerprint) const;
-
   /// Canonicalizes, then returns the cached fusion or fuses and records
-  /// it. Null when fusion was refused (budget/width) — not cached.
+  /// it. Never null.
   std::shared_ptr<const FusedPolicyAutomaton>
   fuse(const policy::PolicyRegistry &Registry, const StringInterner &Interner,
        std::vector<hist::PolicyRef> Refs, std::vector<hist::Event> Universe,
        const FuseOptions &Opts = FuseOptions());
 
   struct Stats {
-    size_t Lookups = 0;  ///< fuse() + find() calls.
+    size_t Lookups = 0;  ///< fuse() calls.
     size_t Hits = 0;     ///< ... answered from the cache.
-    size_t Fusions = 0;  ///< Products actually built.
-    size_t Refusals = 0; ///< Fusions refused (budget/width trips).
+    size_t Fusions = 0;  ///< Fusions actually built.
+    size_t Refusals = 0; ///< Always 0: fusion no longer refuses.
   };
   Stats stats() const;
 
-  /// Every cached fusion, in fingerprint order (for snapshotting).
-  std::vector<std::shared_ptr<const FusedPolicyAutomaton>> snapshot() const;
-
-  /// Re-inserts a deserialized fusion under its fingerprint; an existing
-  /// entry (fused live in this process) wins.
-  void restore(std::shared_ptr<const FusedPolicyAutomaton> Fused);
-
 private:
-  /// Leaf lock over the table and stats. fuse() deliberately *releases*
-  /// M while building the product (fusion can take milliseconds and may
-  /// recurse into governed kernels), then re-locks to insert — losing a
-  /// duplicate-fusion race is cheaper than serializing every fusion.
+  struct Key {
+    std::vector<hist::PolicyRef> Refs;
+    std::vector<hist::Event> Universe;
+    uint64_t Bound = 0; ///< The effective table bound.
+    bool operator==(const Key &) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const {
+      return static_cast<size_t>(
+          policySetFingerprint(K.Refs, K.Universe) ^ K.Bound);
+    }
+  };
+
+  /// Leaf lock over the table and stats. fuse() releases M while
+  /// compiling (a few milliseconds for wide sets), then re-locks to
+  /// insert — losing a duplicate-fusion race is cheaper than serializing
+  /// every fusion.
   mutable Mutex M;
   mutable Stats S SUS_GUARDED_BY(M);
-  std::map<uint64_t, std::shared_ptr<const FusedPolicyAutomaton>>
+  std::unordered_map<Key, std::shared_ptr<const FusedPolicyAutomaton>,
+                     KeyHash>
       Entries SUS_GUARDED_BY(M);
 };
 

@@ -1,19 +1,20 @@
 //===- monitor/SessionMonitor.h - One session's fused monitor ---*- C++ -*-===//
 ///
 /// \file
-/// The per-session view of a FusedPolicyAutomaton: one DFA state integer,
-/// one active-policy bitmask, and (off the hot path) small per-policy
+/// The per-session view of a FusedPolicyAutomaton: one product cursor,
+/// one active-policy set, and (off the hot path) small per-policy
 /// frame-nesting counters. The event hot path is `admitsEventIndex` /
-/// `advanceEventIndex` — one branch-free table load plus one mask AND.
+/// `advanceEventIndex` — one table load plus an "offending set is empty"
+/// test.
 ///
-/// Semantics mirror policy::ValidityChecker exactly (§3.1 validity):
-/// every policy's DFA consumes the full history from session start
-/// (history dependence), an event is refused when it would drive the
-/// product into a state whose offending mask intersects the *active*
-/// mask, opening a frame is refused when its policy is offending at the
-/// instant the frame opens, and closing a frame never fails. Violations
-/// latch: once a refused label is *advanced* anyway, the session stays
-/// violated.
+/// Semantics mirror the per-policy probe of policy/Validity.h exactly
+/// (§3.1 validity): every policy's DFA consumes the full history from
+/// session start (history dependence), an event is refused when it would
+/// drive the product into a state whose offending set intersects the
+/// *active* set, opening a frame is refused when its policy is offending
+/// at the instant the frame opens, and closing a frame never fails.
+/// Violations latch: once a refused label is *advanced* anyway, the
+/// session stays violated.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,24 +32,28 @@ namespace monitor {
 class SessionMonitor {
 public:
   explicit SessionMonitor(const FusedPolicyAutomaton &Fused)
-      : F(&Fused), State(Fused.Automaton.start()),
+      : F(&Fused), Cur(Fused.start()), Active(Fused.setWords(), 0),
         ActiveCounts(Fused.Policies.size(), 0) {}
 
   const FusedPolicyAutomaton &fused() const { return *F; }
-  automata::StateId state() const { return State; }
-  uint32_t activeMask() const { return ActiveMask; }
   bool isViolated() const { return Violated; }
 
-  /// Hot path: would firing the event at symbol index \p Idx be admitted?
+  /// Hot path: would firing the event at index \p Idx be admitted?
   bool admitsEventIndex(uint32_t Idx) const {
-    automata::StateId Next = F->Automaton.stepIndex(State, Idx);
-    return (F->OffendingMask[Next] & ActiveMask) == 0 && !Violated;
+    if (Violated)
+      return false;
+    if (Cur.At)
+      if (const ProductState *N = Cur.At->next(Idx))
+        return !blocks(N->Offending);
+    FusedPolicyAutomaton::Cursor Next = Cur;
+    F->step(Next, Idx);
+    return !blocks(FusedPolicyAutomaton::offending(Next));
   }
 
-  /// Hot path: fires the event at symbol index \p Idx unconditionally.
+  /// Hot path: fires the event at index \p Idx unconditionally.
   void advanceEventIndex(uint32_t Idx) {
-    State = F->Automaton.stepIndex(State, Idx);
-    if (F->OffendingMask[State] & ActiveMask)
+    F->step(Cur, Idx);
+    if (blocks(FusedPolicyAutomaton::offending(Cur)))
       Violated = true;
   }
 
@@ -59,11 +64,11 @@ public:
     switch (L.kind()) {
     case hist::LabelKind::Event: {
       uint32_t Idx = F->eventIndexOf(L.asEvent());
-      // The fused path requires a closed universe (see Fused.h); callers
-      // validate closure before enabling it. An out-of-universe event is
-      // genuinely undecidable (wildcard/guard edges might match), so the
-      // defensive release behaviour is to admit it — blocking could be a
-      // wrong verdict, which the monitor must never give.
+      // The universe must be closed (see Fused.h). An out-of-universe
+      // event is genuinely undecidable (wildcard/guard edges might
+      // match), so the defensive release behaviour is to admit it —
+      // blocking could be a wrong verdict, which the monitor must never
+      // give.
       assert(Idx != FusedPolicyAutomaton::NoEvent &&
              "event outside the fused universe");
       return Idx == FusedPolicyAutomaton::NoEvent || admitsEventIndex(Idx);
@@ -73,10 +78,10 @@ public:
         return true;
       int Bit = F->policyBit(L.policy());
       if (Bit < 0)
-        return false; // Uninstantiable (or uncovered): opening violates.
+        return false; // Uninstantiable: opening violates.
       // History dependence: the history so far must already respect the
       // newly-framed policy.
-      return (F->OffendingMask[State] & (1u << Bit)) == 0;
+      return !offendingNow(static_cast<unsigned>(Bit));
     }
     case hist::LabelKind::FrameClose:
       return true;
@@ -87,7 +92,7 @@ public:
   }
 
   /// Appends \p L; returns false when the session is (now) violated.
-  /// Mirrors ValidityChecker::append — violations latch.
+  /// Mirrors the per-policy probe's append — violations latch.
   bool advance(const hist::Label &L) {
     switch (L.kind()) {
     case hist::LabelKind::Event: {
@@ -106,9 +111,10 @@ public:
         Violated = true; // Uninstantiable policy: the framing cannot hold.
         break;
       }
-      ++ActiveCounts[Bit];
-      ActiveMask |= 1u << Bit;
-      if (F->OffendingMask[State] & (1u << Bit))
+      auto B = static_cast<unsigned>(Bit);
+      ++ActiveCounts[B];
+      Active[B / 64] |= uint64_t(1) << (B % 64);
+      if (offendingNow(B))
         Violated = true;
       break;
     }
@@ -116,8 +122,11 @@ public:
       if (L.policy().isTrivial())
         break;
       int Bit = F->policyBit(L.policy());
-      if (Bit >= 0 && ActiveCounts[Bit] > 0 && --ActiveCounts[Bit] == 0)
-        ActiveMask &= ~(1u << Bit);
+      if (Bit < 0)
+        break;
+      auto B = static_cast<unsigned>(Bit);
+      if (ActiveCounts[B] > 0 && --ActiveCounts[B] == 0)
+        Active[B / 64] &= ~(uint64_t(1) << (B % 64));
       break;
     }
     default:
@@ -140,12 +149,23 @@ public:
   }
 
 private:
+  /// True when \p Offending (null = none) contains an active policy.
+  bool blocks(const PolicySet *Offending) const {
+    return Offending && intersects(*Offending, Active);
+  }
+
+  /// True when policy \p Bit is offending at the current state.
+  bool offendingNow(unsigned Bit) const {
+    const PolicySet *Offending = FusedPolicyAutomaton::offending(Cur);
+    return Offending && testBit(*Offending, Bit);
+  }
+
   const FusedPolicyAutomaton *F;
-  automata::StateId State;
-  uint32_t ActiveMask = 0;
+  FusedPolicyAutomaton::Cursor Cur;
+  PolicySet Active;
   bool Violated = false;
   /// Frame-nesting depth per policy bit (⌊ϕ…⌊ϕ nests); only the derived
-  /// ActiveMask is consulted on the event hot path.
+  /// Active set is consulted on the event hot path.
   std::vector<uint32_t> ActiveCounts;
 };
 

@@ -11,7 +11,10 @@
 /// monitoring is enabled, a step whose history extension would break
 /// |= η is simply not enabled. With a valid plan the monitor never blocks
 /// anything — which is precisely why it can be switched off (§5); the
-/// bench bench_network quantifies the saved work.
+/// bench bench_network quantifies the saved work. The monitor is one
+/// fused DFA (monitor/Fused.h) over the policies and events of the
+/// network's own components and of the services their plans can open, so
+/// its universe is closed by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +25,7 @@
 #include "monitor/SessionMonitor.h"
 #include "net/Session.h"
 #include "plan/Plan.h"
-#include "policy/Validity.h"
+#include "policy/History.h"
 
 #include <map>
 #include <memory>
@@ -109,17 +112,6 @@ struct InterpreterOptions {
   /// Commit step before synchronizing — the mode under which the Del
   /// message of §2 actually wedges the session.
   bool CommittedInternalChoice = false;
-
-  /// Optional fused-DFA monitor (see monitor/Fused.h): when set and
-  /// MonitorEnabled, each component's per-step validity probe becomes one
-  /// DFA walk instead of re-running every PolicyMonitor. The interpreter
-  /// validates coverage up front — every event any client or published
-  /// service can fire must be inside the fused universe, and every policy
-  /// they reference must be fused — and silently falls back to the legacy
-  /// probe on any gap ("monitor.coverage_fallbacks"), so enabling this can
-  /// change performance but never verdicts. The caller keeps the fused
-  /// automaton alive for the interpreter's lifetime.
-  const monitor::FusedPolicyAutomaton *FusedMonitor = nullptr;
 };
 
 /// The executable network.
@@ -151,7 +143,9 @@ public:
 
   /// True if the component history has become invalid (possible only with
   /// the monitor off).
-  bool isViolated(size_t I) const { return Violated[I]; }
+  bool isViolated(size_t I) const {
+    return Fused && Monitors[I].isViolated();
+  }
 
   /// Renders the full configuration, one component per line, Fig. 3-style:
   /// "eta, [l: H, ...]".
@@ -161,10 +155,6 @@ public:
   const std::vector<std::string> &trace() const { return TraceLog; }
 
   const Options &options() const { return Opts; }
-
-  /// True when monitor probes run on the fused DFA (Options::FusedMonitor
-  /// set, monitoring on, and coverage validation passed).
-  bool fusedMonitorActive() const { return UseFused; }
 
   /// Sessions currently served by the service at ℓ (capacity accounting).
   unsigned sessionsInUse(plan::Loc Location) const {
@@ -177,6 +167,7 @@ private:
   void stepsOf(size_t Component, Session *Node, std::vector<bool> &Path,
                std::vector<Step> &Out);
   void finalizeHistoryLabels(size_t Component, Step &S);
+  monitor::SessionMonitor &monitorOf(size_t Component);
 
   hist::HistContext &Ctx;
   const plan::Repository &Repo;
@@ -186,11 +177,13 @@ private:
   std::vector<NetworkComponent> Components;
   std::vector<std::unique_ptr<Session>> Trees;
   std::vector<policy::History> Histories;
-  std::vector<policy::ValidityChecker> Checkers;
-  /// One fused cursor per component; populated only when UseFused.
-  std::vector<monitor::SessionMonitor> FusedMonitors;
-  bool UseFused = false;
-  std::vector<bool> Violated;
+  /// The network's policies, fused when the first label is appended or
+  /// probed; null until then. Heap-held so that Monitors' pointers into it
+  /// survive a move of the Interpreter.
+  std::unique_ptr<const monitor::FusedPolicyAutomaton> Fused;
+  /// One cursor per component, made with Fused. It decides Blocked while
+  /// monitoring and records violations when monitoring is off.
+  std::vector<monitor::SessionMonitor> Monitors;
   std::vector<std::string> TraceLog;
   std::map<plan::Loc, unsigned> InUse;
 };

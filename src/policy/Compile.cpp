@@ -51,7 +51,7 @@ CompiledPolicy sus::policy::compilePolicy(const PolicyInstance &Instance,
     }
   };
   std::unordered_map<std::vector<UStateId>, automata::StateId, SetHash> Index;
-  std::deque<std::vector<UStateId>> Work;
+  std::deque<std::pair<std::vector<UStateId>, automata::StateId>> Work;
 
   auto Offending = [&](const std::vector<UStateId> &Set) {
     for (UStateId S : Set)
@@ -60,29 +60,28 @@ CompiledPolicy sus::policy::compilePolicy(const PolicyInstance &Instance,
     return false;
   };
 
-  auto Intern = [&](std::vector<UStateId> Set) -> automata::StateId {
+  auto Intern = [&](const std::vector<UStateId> &Set) -> automata::StateId {
     auto It = Index.find(Set);
     if (It != Index.end())
       return It->second;
     automata::StateId Id = Result.Automaton.addState(Offending(Set));
     Index.emplace(Set, Id);
-    Work.push_back(std::move(Set));
+    Work.emplace_back(Set, Id);
     return Id;
   };
 
   Result.Automaton.setStart(Intern({Instance.shape().start()}));
+  std::vector<UStateId> Next;
   while (!Work.empty()) {
-    std::vector<UStateId> Set = Work.front();
+    auto [Set, From] = std::move(Work.front());
     Work.pop_front();
-    automata::StateId From = Index.at(Set);
     for (size_t Code = 0; Code < Result.Universe.size(); ++Code) {
-      std::vector<UStateId> Next;
+      Next.clear();
       for (UStateId S : Set)
-        for (UStateId T : Instance.step(S, Result.Universe[Code]))
-          Next.push_back(T);
+        Instance.stepInto(S, Result.Universe[Code], Next);
       std::sort(Next.begin(), Next.end());
       Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
-      automata::StateId To = Intern(std::move(Next));
+      automata::StateId To = Intern(Next);
       Result.Automaton.setEdge(From,
                                static_cast<automata::SymbolCode>(Code), To);
     }

@@ -102,12 +102,22 @@ void UsageAutomaton::printDot(const StringInterner &Interner,
 
 std::vector<UStateId> PolicyInstance::step(UStateId S,
                                            const hist::Event &Ev) const {
+  std::vector<UStateId> Next;
+  stepInto(S, Ev, Next);
+  std::sort(Next.begin(), Next.end());
+  Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
+  return Next;
+}
+
+void PolicyInstance::stepInto(UStateId S, const hist::Event &Ev,
+                              std::vector<UStateId> &Out) const {
   // Offending states are absorbing: once a violation, always a violation
   // (safety).
-  if (Shape->isOffending(S))
-    return {S};
-
-  std::vector<UStateId> Next;
+  if (Shape->isOffending(S)) {
+    Out.push_back(S);
+    return;
+  }
+  size_t Before = Out.size();
   for (const UsageEdge &E : Shape->edges()) {
     if (E.From != S)
       continue;
@@ -115,15 +125,12 @@ std::vector<UStateId> PolicyInstance::step(UStateId S,
       continue;
     if (!E.Wildcard && !E.G.eval(Ev.Arg, Args))
       continue;
-    Next.push_back(E.To);
+    Out.push_back(E.To);
   }
   // Implicit self-loop: events the automaton does not mention leave the
   // state unchanged.
-  if (Next.empty())
-    Next.push_back(S);
-  std::sort(Next.begin(), Next.end());
-  Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
-  return Next;
+  if (Out.size() == Before)
+    Out.push_back(S);
 }
 
 PolicyMonitor::PolicyMonitor(PolicyInstance Inst) : Instance(std::move(Inst)) {

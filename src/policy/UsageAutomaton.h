@@ -110,6 +110,11 @@ public:
   /// offending state is absorbing.
   std::vector<UStateId> step(UStateId S, const hist::Event &Ev) const;
 
+  /// Appends the successors of \p S on \p Ev to \p Out, unsorted and
+  /// possibly repeated (step() without its allocation).
+  void stepInto(UStateId S, const hist::Event &Ev,
+                std::vector<UStateId> &Out) const;
+
 private:
   const UsageAutomaton *Shape;
   PolicyArgs Args;

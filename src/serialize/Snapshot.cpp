@@ -221,20 +221,6 @@ void sus::serialize::encodeSummary(Writer &W, SymbolTable &Strings,
   encodeReadySet(W, Strings, Summary.IndexKey);
 }
 
-void sus::serialize::encodeDfa(Writer &W, const automata::Dfa &D) {
-  W.putU32(static_cast<uint32_t>(D.numStates()));
-  W.putU32(D.start());
-  for (automata::StateId S = 0; S < D.numStates(); ++S)
-    W.putU8(D.isAccepting(S) ? 1 : 0);
-  const std::vector<automata::SymbolCode> &Syms = D.alphabet();
-  W.putU32(static_cast<uint32_t>(Syms.size()));
-  for (automata::SymbolCode C : Syms)
-    W.putU32(C);
-  for (automata::StateId S = 0; S < D.numStates(); ++S)
-    for (uint32_t Idx = 0; Idx < Syms.size(); ++Idx)
-      W.putU32(D.stepIndex(S, Idx));
-}
-
 void sus::serialize::encodeCompliance(Writer &W, SymbolTable &Strings,
                                       ExprEncoder &Exprs,
                                       const contract::ComplianceResult &R) {
@@ -268,23 +254,6 @@ void sus::serialize::encodeValidity(Writer &W, SymbolTable &Strings,
     W.putString(Step);
   W.putU64(R.ExploredStates);
   W.putU8(R.HasStuckConfiguration ? 1 : 0);
-}
-
-void sus::serialize::encodeFused(Writer &W, SymbolTable &Strings,
-                                 const monitor::FusedPolicyAutomaton &F) {
-  encodeDfa(W, F.Automaton);
-  W.putU32(static_cast<uint32_t>(F.OffendingMask.size()));
-  for (uint32_t Mask : F.OffendingMask)
-    W.putU32(Mask);
-  W.putU32(static_cast<uint32_t>(F.Policies.size()));
-  for (const PolicyRef &Ref : F.Policies)
-    encodePolicyRef(W, Strings, Ref);
-  W.putU32(static_cast<uint32_t>(F.UnknownPolicies.size()));
-  for (const PolicyRef &Ref : F.UnknownPolicies)
-    encodePolicyRef(W, Strings, Ref);
-  W.putU32(static_cast<uint32_t>(F.Universe.size()));
-  for (const Event &Ev : F.Universe)
-    encodeEvent(W, Strings, Ev);
 }
 
 //===----------------------------------------------------------------------===//
@@ -562,67 +531,6 @@ contract::ContractSummary sus::serialize::decodeSummary(
   return S;
 }
 
-automata::Dfa sus::serialize::decodeDfa(Reader &R) {
-  automata::Dfa D;
-  uint32_t NumStates = R.getU32();
-  uint32_t Start = R.getU32();
-  if (!R.checkCount(NumStates, 1, "dfa state"))
-    return D;
-  if (NumStates == 0) {
-    R.fail("dfa with no states");
-    return D;
-  }
-  if (Start >= NumStates) {
-    R.fail("dfa start state out of range");
-    return D;
-  }
-  std::vector<bool> Accepting(NumStates);
-  for (uint32_t S = 0; S < NumStates && !R.failed(); ++S) {
-    uint8_t A = R.getU8();
-    if (A > 1) {
-      R.fail("corrupt dfa accepting flag");
-      return D;
-    }
-    Accepting[S] = A != 0;
-  }
-  uint32_t NumSyms = R.getU32();
-  if (!R.checkCount(NumSyms, 4, "dfa symbol"))
-    return D;
-  std::vector<automata::SymbolCode> Syms;
-  Syms.reserve(NumSyms);
-  for (uint32_t I = 0; I < NumSyms && !R.failed(); ++I) {
-    automata::SymbolCode C = R.getU32();
-    if (!Syms.empty() && C <= Syms.back()) {
-      R.fail("dfa alphabet not strictly ascending");
-      return D;
-    }
-    Syms.push_back(C);
-  }
-  uint64_t Cells = static_cast<uint64_t>(NumStates) * NumSyms;
-  if (!R.checkCount(Cells, 4, "dfa transition"))
-    return D;
-  if (R.failed())
-    return D;
-  for (uint32_t S = 0; S < NumStates; ++S)
-    D.addState(Accepting[S]);
-  D.reserveAlphabet(Syms);
-  D.setStart(Start);
-  for (uint32_t S = 0; S < NumStates; ++S)
-    for (uint32_t Idx = 0; Idx < NumSyms; ++Idx) {
-      automata::StateId T = R.getU32();
-      if (R.failed())
-        return D;
-      if (T == automata::Dfa::NoState)
-        continue;
-      if (T >= NumStates) {
-        R.fail("dfa transition target out of range");
-        return D;
-      }
-      D.setEdge(S, Syms[Idx], T);
-    }
-  return D;
-}
-
 contract::ComplianceResult sus::serialize::decodeCompliance(
     Reader &R, const SymbolDecoder &Strings, const ExprDecoder &Exprs) {
   contract::ComplianceResult Out;
@@ -692,121 +600,4 @@ validity::StaticValidityResult sus::serialize::decodeValidity(
   }
   Out.HasStuckConfiguration = HasStuck != 0;
   return Out;
-}
-
-monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
-    Reader &R, const SymbolDecoder &Strings) {
-  monitor::FusedPolicyAutomaton F;
-  F.Automaton = decodeDfa(R);
-  if (R.failed())
-    return F;
-  uint32_t NMasks = R.getU32();
-  if (NMasks != F.Automaton.numStates()) {
-    if (!R.failed())
-      R.fail("fused monitor mask count does not match its state count");
-    return F;
-  }
-  F.OffendingMask.reserve(NMasks);
-  for (uint32_t I = 0; I < NMasks && !R.failed(); ++I)
-    F.OffendingMask.push_back(R.getU32());
-  auto DecodeRefs = [&](const char *What) {
-    std::vector<PolicyRef> Refs;
-    uint32_t N = R.getU32();
-    if (!R.checkCount(N, 8, What))
-      return Refs;
-    Refs.reserve(N);
-    for (uint32_t I = 0; I < N && !R.failed(); ++I) {
-      PolicyRef Ref = decodePolicyRef(R, Strings);
-      if (Ref.isTrivial()) {
-        R.fail("fused monitor lists a trivial policy");
-        return Refs;
-      }
-      if (!Refs.empty() && !(Refs.back() < Ref)) {
-        R.fail("fused monitor policies not strictly sorted");
-        return Refs;
-      }
-      Refs.push_back(std::move(Ref));
-    }
-    return Refs;
-  };
-  F.Policies = DecodeRefs("fused policy");
-  if (R.failed())
-    return F;
-  if (F.Policies.size() > monitor::FusedPolicyAutomaton::MaxPolicies) {
-    R.fail("fused monitor exceeds the policy width cap");
-    return F;
-  }
-  F.UnknownPolicies = DecodeRefs("fused unknown policy");
-  if (R.failed())
-    return F;
-  uint32_t NUniverse = R.getU32();
-  if (!R.checkCount(NUniverse, 5, "fused universe event"))
-    return F;
-  F.Universe.reserve(NUniverse);
-  for (uint32_t I = 0; I < NUniverse && !R.failed(); ++I) {
-    Event Ev = decodeEvent(R, Strings);
-    if (R.failed())
-      return F;
-    if (!F.Universe.empty() && !(F.Universe.back() < Ev)) {
-      R.fail("fused monitor universe not strictly sorted");
-      return F;
-    }
-    F.Universe.push_back(Ev);
-  }
-  if (R.failed())
-    return F;
-
-  // Structural validation: symbol code i must be Universe[i] (dense codes
-  // make the compact alphabet index equal the code), the transition
-  // function must be total, the mask bits must fit the fused policy
-  // count, and a state is accepting exactly when some policy is
-  // offending there (how fusePolicies builds the product).
-  const automata::Dfa &D = F.Automaton;
-  if (D.numSymbols() != F.Universe.size()) {
-    R.fail("fused monitor alphabet does not match its universe");
-    return F;
-  }
-  for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-    if (D.alphabet()[Idx] != Idx) {
-      R.fail("fused monitor symbol codes are not dense");
-      return F;
-    }
-  uint64_t MaskLimit =
-      F.Policies.size() >= 32 ? ~uint64_t(0)
-                              : ((uint64_t(1) << F.Policies.size()) - 1);
-  for (automata::StateId S = 0; S < D.numStates(); ++S) {
-    if (F.OffendingMask[S] > MaskLimit) {
-      R.fail("fused monitor offending mask names an absent policy");
-      return F;
-    }
-    if (D.isAccepting(S) != (F.OffendingMask[S] != 0)) {
-      R.fail("fused monitor acceptance disagrees with its masks");
-      return F;
-    }
-    for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-      if (D.stepIndex(S, Idx) == automata::Dfa::NoState) {
-        R.fail("fused monitor transition function is not total");
-        return F;
-      }
-  }
-
-  for (uint32_t Idx = 0; Idx < F.Universe.size(); ++Idx)
-    F.EventIndex.emplace(F.Universe[Idx], Idx);
-
-  // The fingerprint is keyed on the *canonical* request — the merged
-  // instantiable + unknown policy list — which fusePolicies computes
-  // before splitting the two. Both lists are sorted and (trivially,
-  // being strictly sorted per list and disjoint by construction)
-  // mergeable back into canonical form.
-  std::vector<PolicyRef> AllRefs;
-  AllRefs.reserve(F.Policies.size() + F.UnknownPolicies.size());
-  std::merge(F.Policies.begin(), F.Policies.end(), F.UnknownPolicies.begin(),
-             F.UnknownPolicies.end(), std::back_inserter(AllRefs));
-  for (size_t I = 1; I < AllRefs.size(); ++I)
-    if (!(AllRefs[I - 1] < AllRefs[I])) {
-      R.fail("fused monitor policy lists overlap");
-      return F;
-    }
-  F.Fingerprint = monitor::policySetFingerprint(AllRefs, F.Universe);
-  return F;
 }

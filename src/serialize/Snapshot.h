@@ -4,7 +4,7 @@
 /// Encoders and decoders for the domain values the persistent cache
 /// snapshot carries (DESIGN.md §13): interned strings, hash-consed
 /// history expressions, contract summaries, compliance and validity
-/// verdicts, DFAs and fused monitor automata.
+/// verdicts.
 ///
 /// Two design constraints shape everything here:
 ///
@@ -28,11 +28,9 @@
 #ifndef SUS_SERIALIZE_SNAPSHOT_H
 #define SUS_SERIALIZE_SNAPSHOT_H
 
-#include "automata/Nfa.h"
 #include "contract/Compliance.h"
 #include "contract/Prescreen.h"
 #include "hist/HistContext.h"
-#include "monitor/Fused.h"
 #include "serialize/Serialize.h"
 #include "validity/StaticValidity.h"
 
@@ -103,13 +101,10 @@ void encodeReadySet(Writer &W, SymbolTable &Strings,
                     const contract::ReadySet &S);
 void encodeSummary(Writer &W, SymbolTable &Strings,
                    const contract::ContractSummary &Summary);
-void encodeDfa(Writer &W, const automata::Dfa &D);
 void encodeCompliance(Writer &W, SymbolTable &Strings, ExprEncoder &Exprs,
                       const contract::ComplianceResult &R);
 void encodeValidity(Writer &W, SymbolTable &Strings,
                     const validity::StaticValidityResult &R);
-void encodeFused(Writer &W, SymbolTable &Strings,
-                 const monitor::FusedPolicyAutomaton &F);
 
 //===----------------------------------------------------------------------===//
 // Decoding
@@ -159,17 +154,11 @@ hist::PolicyRef decodePolicyRef(Reader &R, const SymbolDecoder &Strings);
 contract::ReadySet decodeReadySet(Reader &R, const SymbolDecoder &Strings);
 contract::ContractSummary decodeSummary(Reader &R,
                                         const SymbolDecoder &Strings);
-automata::Dfa decodeDfa(Reader &R);
 contract::ComplianceResult decodeCompliance(Reader &R,
                                             const SymbolDecoder &Strings,
                                             const ExprDecoder &Exprs);
 validity::StaticValidityResult decodeValidity(Reader &R,
                                               const SymbolDecoder &Strings);
-/// Rebuilds the fused automaton including the derived EventIndex and the
-/// recomputed fingerprint; validates totality and mask/acceptance
-/// consistency.
-monitor::FusedPolicyAutomaton decodeFused(Reader &R,
-                                          const SymbolDecoder &Strings);
 
 } // namespace serialize
 } // namespace sus

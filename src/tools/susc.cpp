@@ -31,8 +31,6 @@
 #include "daemon/Protocol.h"
 #include "daemon/Socket.h"
 #include "fuzz/Differential.h"
-#include "monitor/Fused.h"
-#include "policy/Compile.h"
 #include "hist/Bisim.h"
 #include "hist/Printer.h"
 #include "hist/TransitionSystem.h"
@@ -78,7 +76,6 @@ struct CliOptions : FileCommand {
   std::string DotLts;
   std::string BisimA, BisimB;
   bool Run = false;
-  bool FusedMonitor = false; ///< --monitor fused
   bool Trace = false;
   bool DotPolicies = false;
   bool Enumerate = true;
@@ -103,10 +100,6 @@ void printUsage(std::ostream &OS) {
         "       susc --connect SOCKET VERB [key=value]...\n"
         "  --plan NAME      check only the declared plan NAME\n"
         "  --run            execute the first valid plan of each client\n"
-        "  --monitor MODE   with --run, probe validity with 'probe' (the\n"
-        "                   per-policy monitors, default) or 'fused' (one\n"
-        "                   fused DFA per session; falls back to probe when\n"
-        "                   fusion is refused — verdicts never change)\n"
         "  --trace          with --run, print every applied step\n"
         "  --dot-policies   print client policies as Graphviz\n"
         "  --dot-lts NAME   print the LTS of a declared behaviour\n"
@@ -282,17 +275,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
           takeCount(Argc, Argv, I, Arg, Opts.MaxExploreStates, /*Min=*/1));
     if (Arg.rfind("--diag-format=", 0) == 0)
       return taken(parseDiagFormat(Arg, Opts.Format));
-    if (Arg == "--monitor") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value))
-        return Flag::Bad;
-      if (Value != "fused" && Value != "probe") {
-        std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
-                  << Value << "'\n";
-        return Flag::Bad;
-      }
-      Opts.FusedMonitor = Value == "fused";
-    } else if (Arg == "--cost") {
+    if (Arg == "--cost") {
       Opts.Cost = true;
     } else if (Arg == "--explore") {
       Opts.Explore = true;
@@ -461,26 +444,8 @@ int runTool(const CliOptions &Opts) {
     if (!FirstValid || !Opts.Run)
       continue;
 
-    net::InterpreterOptions IOpts;
-    // --monitor fused: fuse the policies of everything this run can
-    // execute (shared via the verifier cache across clients). A refused
-    // fusion leaves IOpts.FusedMonitor null and the interpreter on the
-    // legacy probe — same verdicts either way.
-    std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused;
-    if (Opts.FusedMonitor) {
-      std::vector<const hist::Expr *> Behaviors{Client};
-      for (plan::Loc L : File.Repo.locations())
-        Behaviors.push_back(File.Repo.find(L));
-      monitor::FuseOptions FO;
-      FO.Gov = Governor.get();
-      Fused = S->verifier().cache()->fusedMonitors().fuse(
-          File.Registry, Ctx.interner(),
-          monitor::collectPolicyRefs(Behaviors),
-          policy::eventUniverse(Behaviors), FO);
-      IOpts.FusedMonitor = Fused.get();
-    }
     net::Interpreter Interp(Ctx, File.Repo, File.Registry,
-                            {{Name, Client, *FirstValid}}, IOpts);
+                            {{Name, Client, *FirstValid}});
     net::RunStats Stats = Interp.run(/*Seed=*/1);
     std::cout << "run: " << Stats.StepsTaken << " steps, "
               << (Stats.AllCompleted ? "completed" : "stuck")

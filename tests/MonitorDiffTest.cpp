@@ -1,15 +1,17 @@
 //===- tests/MonitorDiffTest.cpp - fused vs legacy monitor sweeps ---------===//
 ///
 /// \file
-/// Differential tests for the fused-DFA runtime monitor: on ~100 seeded
+/// Differential tests for the lazily fused runtime monitor: on ~100 seeded
 /// random policy sets and traces, the fused SessionMonitor must make
 /// bit-for-bit the same blocked/allowed decisions as the legacy
 /// policy::ValidityChecker probe — per label, per multi-label probe, and
-/// through the MonitorEngine's sharded batch path — including when a
-/// governor trip refuses fusion and the engine falls back to the legacy
-/// checker, and through net::Interpreter end to end on the paper's hotel
-/// example. Seeds are fixed; nothing depends on wall-clock or the
-/// iteration order of unordered containers.
+/// through the MonitorEngine's sharded batch path — including sessions
+/// past a governor-capped transition table, policy sets far wider than
+/// one 64-bit word, colliding cache fingerprints, and net::Interpreter end
+/// to end on the paper's hotel example. The monitor never falls back to
+/// the legacy checker; these tests prove it never needs to. Seeds are
+/// fixed; nothing depends on wall-clock or the iteration order of
+/// unordered containers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "net/Interpreter.h"
 #include "policy/Compile.h"
 #include "policy/Validity.h"
+#include "support/HashUtil.h"
 #include "support/ResourceGovernor.h"
 
 #include <gtest/gtest.h>
@@ -178,70 +181,125 @@ INSTANTIATE_TEST_SUITE_P(HundredSeeds, MonitorDiffTest,
                          ::testing::Range(0, 100));
 
 //===----------------------------------------------------------------------===//
-// Governor trip: fusion refuses, the fallback decides identically
+// Past the table bound: a 1-2 state budget, sessions still decide exactly
 //===----------------------------------------------------------------------===//
 
-TEST(MonitorGovernorTest, TrippedFusionFallsBackIdentically) {
-  std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/7);
-  Scenario &S = *SP;
+TEST(MonitorGovernorTest, SessionsPastTableBoundMatchLegacy) {
+  unsigned PastBound = 0;
+  for (uint64_t Seed = 0; Seed < 20; ++Seed) {
+    for (uint64_t Budget : {1u, 2u}) {
+      std::unique_ptr<Scenario> SP = makeScenario(Seed);
+      Scenario &S = *SP;
 
-  ResourceGovernor Gov;
-  Gov.setLimit(ResourceKind::ProductStates, 1);
-  monitor::FuseOptions FO;
-  FO.Gov = &Gov;
+      ResourceGovernor Gov;
+      Gov.setLimit(ResourceKind::ProductStates, Budget);
+      monitor::FusedCache Cache;
+      monitor::MonitorEngine::Options EO;
+      EO.Gov = &Gov;
+      EO.Cache = &Cache;
+      monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
+      monitor::MonitorEngine::SessionId Id =
+          Engine.openSession(S.Refs, S.Universe);
+      monitor::FuseOptions FO;
+      FO.Gov = &Gov;
+      std::shared_ptr<const monitor::FusedPolicyAutomaton> Bounded =
+          Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
+      EXPECT_EQ(Cache.stats().Hits, 1u);
+      EXPECT_EQ(Cache.stats().Refusals, 0u);
 
-  // The raw fusion must report exhaustion, never a wrong automaton...
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
-  ASSERT_FALSE(Out.ok());
-  EXPECT_EQ(Out.exhausted().Which, ResourceKind::ProductStates);
+      // The same cache answers an ungoverned request with a fusion of its
+      // own. Walked over the same labels it tables every state the trace
+      // reaches; more than Budget of them means the bounded session had
+      // to step off the table (and that the budget was not inherited).
+      std::shared_ptr<const monitor::FusedPolicyAutomaton> FreeFusion =
+          Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
+      ASSERT_NE(FreeFusion.get(), Bounded.get());
+      const monitor::FusedPolicyAutomaton &Free = *FreeFusion;
+      monitor::SessionMonitor FreeMonitor(Free);
 
-  // ...the cache must refuse without recording...
-  monitor::FusedCache Cache;
-  EXPECT_EQ(Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO),
-            nullptr);
-  EXPECT_EQ(Cache.stats().Refusals, 1u);
-  EXPECT_EQ(Cache.stats().Fusions, 0u);
-
-  // ...and the engine must fall back to a legacy checker that decides
-  // exactly as a stand-alone one.
-  monitor::MonitorEngine::Options EO;
-  EO.Gov = &Gov;
-  monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
-  monitor::MonitorEngine::SessionId Id =
-      Engine.openSession(S.Refs, S.Universe);
-  EXPECT_FALSE(Engine.isFused(Id));
-
-  policy::ValidityChecker Legacy(S.Registry, S.Ctx.interner());
-  for (const Label &L : S.Trace) {
-    EXPECT_EQ(Engine.wouldAdmit(Id, L), Legacy.wouldRemainValid(L));
-    EXPECT_EQ(Engine.advance(Id, L), Legacy.append(L));
+      policy::ValidityChecker Legacy(S.Registry, S.Ctx.interner());
+      for (size_t I = 0; I < S.Trace.size(); ++I) {
+        const Label &L = S.Trace[I];
+        EXPECT_EQ(Engine.wouldAdmit(Id, L), Legacy.wouldRemainValid(L))
+            << "seed " << Seed << " budget " << Budget << " at " << I;
+        EXPECT_EQ(Engine.advance(Id, L), Legacy.append(L))
+            << "seed " << Seed << " budget " << Budget << " at " << I;
+        FreeMonitor.advance(L);
+      }
+      EXPECT_EQ(Engine.isViolated(Id), !Legacy.isValid());
+      EXPECT_LE(Bounded->numStates(), Budget);
+      if (Free.numStates() > Budget)
+        ++PastBound;
+    }
   }
-  EXPECT_EQ(Engine.isViolated(Id), !Legacy.isValid());
+  // The sweep must really leave the table, or it proves nothing (19 of
+  // the 40 runs do; the others' traces reach at most Budget states).
+  EXPECT_GE(PastBound, 10u);
 }
 
-TEST(MonitorGovernorTest, WidthOverflowRefusesFusion) {
-  hist::HistContext Ctx;
-  StringInterner &In = Ctx.interner();
-  policy::PolicyRegistry Registry;
-  Symbol E = In.intern("e");
-  policy::UsageAutomaton Shape(In.intern("p"), {{In.intern("t"), false}});
-  Shape.addState("ok");
-  Shape.addState("bad", /*Offending=*/true);
-  Shape.addEdge(0, E, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), 1);
-  Registry.add(Shape);
+TEST(MonitorGovernorTest, WidePolicySetsFuseAndMatchLegacy) {
+  for (int64_t Width : {40, 100}) {
+    for (uint64_t Seed = 0; Seed < 5; ++Seed) {
+      hist::HistContext Ctx;
+      StringInterner &In = Ctx.interner();
+      policy::PolicyRegistry Registry;
+      Symbol E = In.intern("e");
+      Symbol Reset = In.intern("f");
+      // p(t): two e(t) with no f between them offend.
+      policy::UsageAutomaton Shape(In.intern("p"), {{In.intern("t"), false}});
+      Shape.addState("ok");
+      Shape.addState("seen");
+      Shape.addState("bad", /*Offending=*/true);
+      Shape.addEdge(0, E, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), 1);
+      Shape.addEdge(1, E, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), 2);
+      Shape.addEdge(1, Reset, policy::Guard::always(), 0);
+      Registry.add(Shape);
 
-  // 33 distinct instantiations exceed the 32-bit offending mask.
-  std::vector<PolicyRef> Refs;
-  for (int64_t I = 0; I < 33; ++I)
-    Refs.push_back({In.intern("p"), {{Value::integer(I)}}});
-  std::vector<Event> Universe{{E, Value::integer(1)}};
+      std::vector<PolicyRef> Refs;
+      std::vector<Event> Universe{{Reset, Value::integer(0)}};
+      for (int64_t I = 0; I < Width; ++I) {
+        Refs.push_back({In.intern("p"), {{Value::integer(I)}}});
+        Universe.push_back({E, Value::integer(I)});
+      }
 
-  Outcome<monitor::FusedPolicyAutomaton> Out =
-      monitor::fusePolicies(Registry, In, Refs, Universe);
-  ASSERT_FALSE(Out.ok());
-  EXPECT_EQ(Out.exhausted().Which, ResourceKind::ProductStates);
-  EXPECT_EQ(Out.exhausted().Limit, monitor::FusedPolicyAutomaton::MaxPolicies);
+      monitor::FusedCache Cache;
+      monitor::MonitorEngine::Options EO;
+      EO.Cache = &Cache;
+      monitor::MonitorEngine Engine(Registry, In, EO);
+      monitor::MonitorEngine::SessionId Id = Engine.openSession(Refs, Universe);
+      EXPECT_EQ(Cache.stats().Refusals, 0u);
+      EXPECT_EQ(Cache.fuse(Registry, In, Refs, Universe)->Policies.size(),
+                static_cast<size_t>(Width));
+      policy::ValidityChecker Legacy(Registry, In);
+
+      auto Check = [&](const Label &L, size_t At) {
+        EXPECT_EQ(Engine.wouldAdmit(Id, L), Legacy.wouldRemainValid(L))
+            << "width " << Width << " seed " << Seed << " at " << At;
+        EXPECT_EQ(Engine.advance(Id, L), Legacy.append(L))
+            << "width " << Width << " seed " << Seed << " at " << At;
+      };
+
+      // The highest bit blocks: with p(W-1) framed and e(W-1) seen once,
+      // a second e(W-1) is refused (probed, not fired), then f resets.
+      Label Last = Label::event({E, Value::integer(Width - 1)});
+      Check(Label::frameOpen(Refs.back()), 0);
+      Check(Last, 1);
+      EXPECT_FALSE(Engine.wouldAdmit(Id, Last));
+      EXPECT_FALSE(Legacy.wouldRemainValid(Last));
+      Check(Label::event(Universe.front()), 2);
+
+      std::mt19937_64 Rng(Seed * 977 + static_cast<uint64_t>(Width));
+      for (size_t I = 3; I < 400; ++I) {
+        unsigned R = Rng() % 100;
+        const PolicyRef &Ref = Refs[Rng() % Refs.size()];
+        Label L = R < 70 ? Label::event(Universe[Rng() % Universe.size()])
+                         : (R < 85 ? Label::frameOpen(Ref)
+                                   : Label::frameClose(Ref));
+        Check(L, I);
+      }
+      EXPECT_EQ(Engine.isViolated(Id), !Legacy.isValid());
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,8 +311,10 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
   Scenario &S = *SP;
   std::mt19937_64 Rng(11);
 
+  monitor::FusedCache ShardedCache;
   monitor::MonitorEngine::Options Wide;
   Wide.Workers = 4;
+  Wide.Cache = &ShardedCache;
   monitor::MonitorEngine Sharded(S.Registry, S.Ctx.interner(), Wide);
   monitor::MonitorEngine Sequential(S.Registry, S.Ctx.interner());
   std::vector<policy::ValidityChecker> Legacy;
@@ -263,9 +323,13 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
   for (unsigned I = 0; I < NumSessions; ++I) {
     EXPECT_EQ(Sharded.openSession(S.Refs, S.Universe), I);
     EXPECT_EQ(Sequential.openSession(S.Refs, S.Universe), I);
-    EXPECT_TRUE(Sharded.isFused(I));
     Legacy.emplace_back(S.Registry, S.Ctx.interner());
   }
+  // The shared table starts cold: only the start state is tabled, so the
+  // first events of all four shards miss at once.
+  std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused =
+      ShardedCache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
+  ASSERT_EQ(Fused->numStates(), 1u);
 
   // One batch of interleaved per-session labels; decisions must agree
   // item-for-item across shard widths and with per-session legacy runs.
@@ -287,6 +351,7 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
   Sharded.ingest(Batch, &ShardedDecisions);
   Sequential.ingest(Batch, &SequentialDecisions);
   EXPECT_EQ(ShardedDecisions, SequentialDecisions);
+  EXPECT_GT(Fused->numStates(), 1u);
 
   std::vector<uint8_t> LegacyDecisions(Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I)
@@ -319,49 +384,171 @@ TEST(MonitorEngineTest, CacheSharesFusionsAcrossSessions) {
   EXPECT_EQ(Cache.stats().Hits, 5u);
 }
 
+TEST(MonitorEngineTest, ConcurrentMissesPublishWholeStates) {
+  // Counters mod 2, 3, 5, 7 and 11 over their own events; each offends
+  // only on b(t) fired at its last count, so minimization keeps every
+  // count and the product has 2310 reachable states: misses keep landing
+  // while other shards read the table. Under TSan this catches a
+  // successor published without release/acquire ordering.
+  hist::HistContext Ctx;
+  StringInterner &In = Ctx.interner();
+  policy::PolicyRegistry Registry;
+  Symbol B = In.intern("b");
+  std::vector<PolicyRef> Refs;
+  std::vector<Event> Universe{{B, Value::integer(0)}, {B, Value::integer(1)}};
+  for (unsigned K : {2u, 3u, 5u, 7u, 11u}) {
+    Symbol A = In.intern("a" + std::to_string(K));
+    policy::UsageAutomaton Shape(In.intern("c" + std::to_string(K)),
+                                 {{In.intern("t"), false}});
+    for (unsigned Q = 0; Q < K; ++Q)
+      Shape.addState("q" + std::to_string(Q));
+    Shape.addState("bad", /*Offending=*/true);
+    for (unsigned Q = 0; Q < K; ++Q)
+      Shape.addEdge(Q, A, policy::Guard::always(), (Q + 1) % K);
+    Shape.addEdge(K - 1, B, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), K);
+    Registry.add(Shape);
+    Refs.push_back({Shape.name(), {{Value::integer(K % 2)}}});
+    Universe.push_back({A, Value::integer(0)});
+  }
+
+  monitor::MonitorEngine::Options Wide;
+  Wide.Workers = 4;
+  monitor::MonitorEngine Sharded(Registry, In, Wide);
+  monitor::MonitorEngine Sequential(Registry, In);
+  constexpr unsigned NumSessions = 64;
+  for (unsigned I = 0; I < NumSessions; ++I) {
+    Sharded.openSession(Refs, Universe);
+    Sequential.openSession(Refs, Universe);
+  }
+  std::mt19937_64 Rng(29);
+  std::vector<monitor::MonitorEngine::BatchItem> Batch;
+  for (unsigned I = 0; I < 40000; ++I)
+    Batch.push_back(
+        {static_cast<monitor::MonitorEngine::SessionId>(Rng() % NumSessions),
+         Label::event(Universe[Rng() % Universe.size()])});
+  std::vector<uint8_t> ShardedDecisions, SequentialDecisions;
+  Sharded.ingest(Batch, &ShardedDecisions);
+  Sequential.ingest(Batch, &SequentialDecisions);
+  EXPECT_EQ(ShardedDecisions, SequentialDecisions);
+}
+
+namespace {
+
+/// The V with hashCombine(Seed, V) == Target: hashCombine is invertible
+/// in its last argument.
+size_t invertHashCombine(size_t Seed, size_t Target) {
+  return (Target ^ Seed) - 0x9e3779b97f4a7c15ULL - (Seed << 6) - (Seed >> 2);
+}
+
+} // namespace
+
+TEST(MonitorEngineTest, FingerprintCollisionGetsItsOwnFusion) {
+  hist::HistContext Ctx;
+  StringInterner &In = Ctx.interner();
+  policy::PolicyRegistry Registry;
+  Symbol E = In.intern("e");
+  for (const char *Name : {"m0", "m1"}) {
+    policy::UsageAutomaton Shape(In.intern(Name), {{In.intern("t"), false}});
+    Shape.addState("ok");
+    Shape.addState("bad", /*Offending=*/true);
+    Shape.addEdge(0, E, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), 1);
+    Registry.add(Shape);
+  }
+  std::vector<Event> Universe{{E, Value::integer(1)}};
+  PolicyRef Victim{In.intern("m0"), {{Value::integer(3)}}};
+
+  // Solve m1(X).hash() == m0(3).hash() backwards through PolicyRef::hash
+  // and Value::hash; symbol ids depend on interning order, so X is
+  // computed, not written down.
+  size_t NameSeed = hashAll(In.intern("m1").id());
+  hashCombine(NameSeed, 1); // The one argument's size.
+  size_t ValueHash = invertHashCombine(NameSeed, Victim.hash());
+  size_t KindSeed = static_cast<size_t>(Value::Kind::Int);
+  auto X = static_cast<int64_t>(
+      invertHashCombine(KindSeed, ValueHash)); // std::hash<int64_t> is id.
+  PolicyRef Collider{In.intern("m1"), {{Value::integer(X)}}};
+  ASSERT_EQ(monitor::policySetFingerprint({Collider}, Universe),
+            monitor::policySetFingerprint({Victim}, Universe));
+
+  monitor::FusedCache Cache;
+  monitor::MonitorEngine::Options EO;
+  EO.Cache = &Cache;
+  monitor::MonitorEngine Engine(Registry, In, EO);
+  monitor::MonitorEngine::SessionId First =
+      Engine.openSession({Victim}, Universe);
+  monitor::MonitorEngine::SessionId Second =
+      Engine.openSession({Collider}, Universe);
+  EXPECT_EQ(Cache.stats().Fusions, 2u);
+
+  policy::ValidityChecker Legacy(Registry, In);
+  for (const Label &L :
+       {Label::frameOpen(Collider), Label::event(Universe.front()),
+        Label::frameClose(Collider)})
+    EXPECT_EQ(Engine.advance(Second, L), Legacy.append(L)) << L.str(In);
+  EXPECT_FALSE(Engine.isViolated(First));
+}
+
 //===----------------------------------------------------------------------===//
-// End to end: the Interpreter's fused runs replay the probe runs exactly
+// End to end: every Blocked mark the Interpreter offers is the probe's
 //===----------------------------------------------------------------------===//
 
 TEST(MonitorInterpreterTest, FusedRunsMatchProbeRuns) {
   hist::HistContext Ctx;
   core::HotelExample H = core::makeHotelExample(Ctx);
 
-  std::vector<const hist::Expr *> Behaviors{H.C1, H.C2};
-  for (plan::Loc L : H.Repo.locations())
-    Behaviors.push_back(H.Repo.find(L));
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      H.Registry, Ctx.interner(), monitor::collectPolicyRefs(Behaviors),
-      policy::eventUniverse(Behaviors));
-  ASSERT_TRUE(Out.ok());
-  monitor::FusedPolicyAutomaton F = Out.takeValue();
+  // The legacy checker's verdict on a component's whole history.
+  auto Replay = [&](const policy::History &Eta,
+                    policy::ValidityChecker &Checker) {
+    for (const Label &L : Eta.items())
+      Checker.append(L);
+  };
 
   // pi1/pi2Valid complete cleanly; pi3 exercises angelic blocking (S3 is
-  // black-listed by C2's policy).
+  // black-listed by C2's policy) and, with the monitor off, a violation.
   std::vector<std::vector<net::NetworkComponent>> Networks = {
       {{H.LC1, H.C1, H.pi1()}, {H.LC2, H.C2, H.pi2Valid()}},
       {{H.LC2, H.C2, H.pi3()}},
   };
-  for (const auto &Comps : Networks) {
-    for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-      net::Interpreter Probe(Ctx, H.Repo, H.Registry, Comps,
-                             net::InterpreterOptions{});
-      net::InterpreterOptions FO;
-      FO.FusedMonitor = &F;
-      net::Interpreter Fused(Ctx, H.Repo, H.Registry, Comps, FO);
-      ASSERT_TRUE(Fused.fusedMonitorActive());
-
-      net::RunStats PS = Probe.run(Seed);
-      net::RunStats FS = Fused.run(Seed);
-      EXPECT_EQ(Probe.trace(), Fused.trace()) << "seed " << Seed;
-      EXPECT_EQ(PS.StepsTaken, FS.StepsTaken);
-      EXPECT_EQ(PS.BlockedAttempts, FS.BlockedAttempts);
-      EXPECT_EQ(PS.Violations, FS.Violations);
-      EXPECT_EQ(PS.AllCompleted, FS.AllCompleted);
-      EXPECT_EQ(PS.StuckComponents, FS.StuckComponents);
-      for (size_t C = 0; C < Comps.size(); ++C)
-        EXPECT_EQ(Probe.history(C).str(Ctx.interner()),
-                  Fused.history(C).str(Ctx.interner()));
+  size_t Probed = 0, Blocked = 0, Violations = 0;
+  for (bool Monitor : {true, false}) {
+    for (const auto &Comps : Networks) {
+      for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+        net::InterpreterOptions Opts;
+        Opts.MonitorEnabled = Monitor;
+        net::Interpreter I(Ctx, H.Repo, H.Registry, Comps, Opts);
+        std::mt19937_64 Rng(Seed);
+        for (size_t N = 0; N < 256; ++N) {
+          std::vector<net::Step> Steps = I.steps();
+          std::vector<const net::Step *> Applicable;
+          for (const net::Step &S : Steps) {
+            if (Monitor && !S.PlanGap && !S.HistoryAppend.empty()) {
+              policy::ValidityChecker Checker(H.Registry, Ctx.interner());
+              Replay(I.history(S.Component), Checker);
+              EXPECT_EQ(S.Blocked,
+                        !Checker.wouldRemainValidAll(S.HistoryAppend))
+                  << "seed " << Seed << ": " << S.Desc;
+              ++Probed;
+              Blocked += S.Blocked ? 1 : 0;
+            }
+            if (!S.PlanGap && !S.CapacityBlocked && !(Monitor && S.Blocked))
+              Applicable.push_back(&S);
+          }
+          if (Applicable.empty())
+            break;
+          ASSERT_TRUE(I.apply(*Applicable[Rng() % Applicable.size()]));
+          for (size_t C = 0; C < Comps.size(); ++C) {
+            policy::ValidityChecker Checker(H.Registry, Ctx.interner());
+            Replay(I.history(C), Checker);
+            EXPECT_EQ(I.isViolated(C), !Checker.isValid())
+                << "seed " << Seed << " component " << C;
+          }
+        }
+        for (size_t C = 0; C < Comps.size(); ++C)
+          Violations += I.isViolated(C) ? 1 : 0;
+      }
     }
   }
+  EXPECT_GT(Probed, 0u);
+  EXPECT_GT(Blocked, 0u);
+  EXPECT_GT(Violations, 0u);
 }

@@ -118,7 +118,7 @@ TEST(SectionContainer, RoundTripsAndReportsMissingSections) {
   ASSERT_TRUE(R.section(SectionTag::Strings).has_value());
   EXPECT_EQ(*R.section(SectionTag::Strings), "alpha");
   EXPECT_EQ(*R.section(SectionTag::Exprs), "beta-payload");
-  EXPECT_FALSE(R.section(SectionTag::Fused).has_value());
+  EXPECT_FALSE(R.section(SectionTag::Index).has_value());
 }
 
 TEST(SectionContainer, RejectsBadMagic) {
