@@ -2,20 +2,19 @@
 ///
 /// \file
 /// Experiment B7 (DESIGN.md): the §5 verifier as a pipeline — serial
-/// recompute-per-plan (the pre-cache baseline), serial over the shared
-/// VerifierCache, and cache + parallel security checking over the
-/// work-stealing pool. The headline workload is a re-verification
-/// *session*: the repository grows by one service at a time and the
-/// client is re-verified after each step, so the cache answers every
-/// previously-explored plan instantly while the baseline re-explores the
-/// whole candidate space from scratch. Single-shot sweeps over width ×
-/// request count × depth are kept alongside. Run with
+/// over the shared VerifierCache, and cache + parallel security checking
+/// over the work-stealing pool. The headline workload is a
+/// re-verification *session*: the repository grows by one service at a
+/// time and the client is re-verified after each step, so the cache
+/// answers every previously-explored plan instantly. Single-shot sweeps
+/// over width × request count × depth are kept alongside. Run with
 /// `--benchmark_format=json` to extend BENCH_verifier.json, the perf
 /// trajectory tracked across PRs.
 ///
-/// The binary self-checks determinism at startup: the three modes must
-/// produce element-wise identical verdicts at every step of the
-/// acceptance session (8 services × 3 requests, 4 worker threads) or it
+/// The binary self-checks determinism at startup: both modes must produce
+/// element-wise identical verdicts at every step of the acceptance session
+/// (8 services × 3 requests, 4 worker threads), and so must a reference
+/// run that verifies each pass on a fresh Verifier (cold cache), or it
 /// aborts.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,11 +23,13 @@
 #include "Workloads.h"
 #include "automata/KernelStats.h"
 #include "core/Verifier.h"
+#include "plan/RepositoryDelta.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 using namespace sus;
 using namespace sus::bench;
@@ -37,27 +38,21 @@ namespace {
 
 /// Mode knob for the sweeps below.
 enum Mode : int {
-  SerialUncached = 0, ///< The seed behaviour: every plan recomputes.
   SerialCached = 1,   ///< Shared VerifierCache, one thread.
   ParallelCached = 2, ///< Shared VerifierCache + 4 worker shards.
 };
-
-core::VerifierOptions optionsFor(Mode M) {
-  core::VerifierOptions Opts;
-  Opts.UseCache = M != SerialUncached;
-  Opts.Jobs = M == ParallelCached ? 4 : 1;
-  return Opts;
-}
 
 /// A re-verification session over a growing repository: start from
 /// \p R chatty services (half of them non-compliant), verify the
 /// \p Q-request client, then add one compliant service and re-verify,
 /// \p Steps times. Half the services are non-compliant, and a light
-/// at-most policy keeps the security monitors honest. Returns one report
-/// per verification pass.
+/// at-most policy keeps the security monitors honest. With
+/// \p ColdEachPass every pass runs on a fresh Verifier, so nothing is
+/// answered from an earlier pass's cache. Returns one report per
+/// verification pass.
 std::vector<core::VerificationReport>
 runSession(hist::HistContext &Ctx, unsigned R, unsigned Q, unsigned Depth,
-           unsigned Steps, Mode M) {
+           unsigned Steps, Mode M, bool ColdEachPass = false) {
   plan::Repository Repo =
       chattyRepository(Ctx, R, R / 2, Depth, /*EventsPerCall=*/1);
   policy::PolicyRegistry Registry;
@@ -66,26 +61,40 @@ runSession(hist::HistContext &Ctx, unsigned R, unsigned Q, unsigned Depth,
   Phi.Name = Ctx.symbol("pol0");
   const hist::Expr *Client = chattyClient(Ctx, Q, Depth, Phi);
 
-  core::Verifier V(Ctx, Repo, Registry, optionsFor(M));
+  core::VerifierOptions Opts;
+  Opts.Jobs = M == ParallelCached ? 4 : 1;
+  std::unique_ptr<core::Verifier> V;
   std::vector<core::VerificationReport> Reports;
-  Reports.push_back(V.verifyClient(Client, Ctx.symbol("c")));
-  for (unsigned S = 0; S < Steps; ++S) {
-    Repo.add(Ctx.symbol("svc" + std::to_string(R + S)),
-             chattyService(Ctx, Depth, /*Bad=*/false, /*EventsPerCall=*/1));
-    Reports.push_back(V.verifyClient(Client, Ctx.symbol("c")));
+  for (unsigned S = 0; S <= Steps; ++S) {
+    if (S > 0) {
+      // Publish through a delta so a kept Verifier re-indexes the new
+      // service (and evicts what it invalidates).
+      plan::RepositoryDelta Delta;
+      Delta.Changes.push_back(plan::applyPublish(
+          Repo, Ctx.symbol("svc" + std::to_string(R + S - 1)),
+          chattyService(Ctx, Depth, /*Bad=*/false, /*EventsPerCall=*/1)));
+      if (V && !ColdEachPass)
+        (void)V->applyDelta(Delta);
+    }
+    if (!V || ColdEachPass)
+      V = std::make_unique<core::Verifier>(Ctx, Repo, Registry, Opts);
+    Reports.push_back(V->verifyClient(Client, Ctx.symbol("c")));
   }
   return Reports;
 }
 
 /// Startup determinism check: identical verdicts at every step of the
-/// acceptance session (R=8, Q=3, 4 worker threads) across all modes.
+/// acceptance session (R=8, Q=3, 4 worker threads) across both modes and
+/// the cold-cache reference.
 bool selfCheck() {
   std::vector<std::vector<std::vector<plan::Plan>>> Valid;
   std::vector<std::vector<size_t>> Candidates;
-  for (Mode M : {SerialUncached, SerialCached, ParallelCached}) {
+  for (int Run = 0; Run < 3; ++Run) {
     hist::HistContext Ctx;
     std::vector<core::VerificationReport> Reports =
-        runSession(Ctx, 8, 3, 6, /*Steps=*/2, M);
+        runSession(Ctx, 8, 3, 6, /*Steps=*/2,
+                   Run == 2 ? ParallelCached : SerialCached,
+                   /*ColdEachPass=*/Run == 0);
     Valid.emplace_back();
     Candidates.emplace_back();
     for (const core::VerificationReport &Report : Reports) {
@@ -107,9 +116,8 @@ bool selfCheck() {
 const bool SelfChecked = selfCheck();
 
 /// The headline benchmark: a 4-step re-verification session at
-/// repository width R × request count Q, protocol depth 6, across the
-/// three modes. The baseline re-explores every candidate plan on every
-/// pass; the cached pipeline only pays for plans the repository growth
+/// repository width R × request count Q, protocol depth 6, in both
+/// modes. The cached pipeline only pays for plans the repository growth
 /// made possible.
 void BM_VerifySession(benchmark::State &State) {
   unsigned R = static_cast<unsigned>(State.range(0));
@@ -136,13 +144,10 @@ void BM_VerifySession(benchmark::State &State) {
       static_cast<double>(State.iterations());
 }
 BENCHMARK(BM_VerifySession)
-    ->Args({4, 2, SerialUncached})
     ->Args({4, 2, SerialCached})
     ->Args({4, 2, ParallelCached})
-    ->Args({8, 3, SerialUncached})
     ->Args({8, 3, SerialCached})
     ->Args({8, 3, ParallelCached})
-    ->Args({12, 3, SerialUncached})
     ->Args({12, 3, SerialCached})
     ->Args({12, 3, ParallelCached});
 
@@ -165,9 +170,7 @@ void BM_VerifySingleShot(benchmark::State &State) {
       static_cast<double>(State.iterations());
 }
 BENCHMARK(BM_VerifySingleShot)
-    ->Args({8, 3, SerialUncached})
     ->Args({8, 3, ParallelCached})
-    ->Args({16, 3, SerialUncached})
     ->Args({16, 3, ParallelCached});
 
 /// Depth sweep: per-plan security work grows with protocol depth; the
@@ -183,25 +186,19 @@ void BM_VerifyDepth(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_VerifyDepth)
-    ->Args({2, SerialUncached})
     ->Args({2, ParallelCached})
-    ->Args({8, SerialUncached})
     ->Args({8, ParallelCached})
-    ->Args({16, SerialUncached})
     ->Args({16, ParallelCached});
 
 /// Cross-client cache reuse: verifying a whole network of N clients with
 /// the same contract shares every compliance pair across clients.
 void BM_VerifyNetworkSharedCache(benchmark::State &State) {
   unsigned Clients = static_cast<unsigned>(State.range(0));
-  bool Cached = State.range(1) != 0;
   for (auto _ : State) {
     hist::HistContext Ctx;
     plan::Repository Repo = chattyRepository(Ctx, 8, 4, 4);
     policy::PolicyRegistry Registry;
-    core::VerifierOptions Opts;
-    Opts.UseCache = Cached;
-    core::Verifier V(Ctx, Repo, Registry, Opts);
+    core::Verifier V(Ctx, Repo, Registry);
     std::vector<std::pair<const hist::Expr *, plan::Loc>> Net;
     const hist::Expr *Client = chattyClient(Ctx, 2, 4);
     for (unsigned I = 0; I < Clients; ++I)
@@ -210,11 +207,7 @@ void BM_VerifyNetworkSharedCache(benchmark::State &State) {
     benchmark::DoNotOptimize(Report.allClientsHaveValidPlans());
   }
 }
-BENCHMARK(BM_VerifyNetworkSharedCache)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
+BENCHMARK(BM_VerifyNetworkSharedCache)->Arg(2)->Arg(8);
 
 /// The enumerator after the bind/undo rewrite: pure candidate explosion,
 /// no checking (companion to B3's BM_EnumerateOnly; kept here so the B7

@@ -34,6 +34,12 @@ using namespace sus::analysis;
 
 namespace {
 
+/// Budget for the doomed-framing pass: candidate plans examined per client
+/// and states explored per plan. Linting stays cheap; the full verifier
+/// remains the authority on plan validity.
+constexpr size_t MaxPlansPerClient = 64;
+constexpr size_t MaxStatesPerPlan = 1 << 14;
+
 /// The file-wide event universe: every concrete event any declared
 /// behaviour can fire. Framed bodies are subterms of behaviours, so this
 /// over-approximates what can reach any framing.
@@ -107,11 +113,10 @@ public:
   void run(LintContext &LC) const override {
     const StringInterner &In = LC.context().interner();
     const syntax::SusFile &File = LC.file();
-    const LintOptions &Opts = LC.options();
 
     for (const auto &[Name, Client] : File.Clients) {
       plan::EnumeratorOptions EnumOpts;
-      EnumOpts.MaxPlans = Opts.MaxPlansPerClient;
+      EnumOpts.MaxPlans = MaxPlansPerClient;
       plan::EnumerationResult Enum =
           plan::enumeratePlans(Client, File.Repo, EnumOpts);
       // Inconclusive when the candidate space was truncated, and out of
@@ -124,7 +129,7 @@ public:
       std::optional<validity::StaticValidityResult> Witness;
       for (const plan::Plan &P : Enum.Plans) {
         validity::StaticValidityOptions VOpts;
-        VOpts.MaxStates = Opts.MaxStatesPerPlan;
+        VOpts.MaxStates = MaxStatesPerPlan;
         validity::StaticValidityResult R = validity::checkPlanValidity(
             LC.context(), Client, Name, P, File.Repo, File.Registry, VOpts);
         if (R.Valid ||

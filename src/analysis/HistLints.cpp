@@ -37,10 +37,12 @@ namespace {
 
 enum class Termination { Yes, No, Unknown };
 
+/// Budget for termination analyses: reachable expressions explored.
+constexpr size_t MaxDeriveStates = 1 << 12;
+
 /// Bounded reachability of ε from \p Root under the one-step semantics.
 /// \p Root must be closed. Returns Unknown when the budget runs out.
 Termination canTerminate(hist::HistContext &Ctx, const hist::Expr *Root,
-                         size_t MaxStates,
                          std::unordered_map<const hist::Expr *, Termination>
                              &Memo) {
   auto Cached = Memo.find(Root);
@@ -57,7 +59,7 @@ Termination canTerminate(hist::HistContext &Ctx, const hist::Expr *Root,
       Result = Termination::Yes;
       break;
     }
-    if (Seen.size() > MaxStates) {
+    if (Seen.size() > MaxDeriveStates) {
       Result = Termination::Unknown;
       break;
     }
@@ -100,8 +102,7 @@ public:
         // own (free variables are stuck, not looping): skip it.
         if (!hist::isWellFormed(Ctx, S->head()))
           return;
-        if (canTerminate(Ctx, S->head(), LC.options().MaxDeriveStates,
-                         Memo) != Termination::No)
+        if (canTerminate(Ctx, S->head(), Memo) != Termination::No)
           return;
         Diagnostic *D = LC.emit(
             id(), category(), Loc,
@@ -137,8 +138,7 @@ public:
         const auto *Mu = dyn_cast<hist::MuExpr>(E);
         if (!Mu || !hist::isWellFormed(Ctx, Mu))
           return;
-        if (canTerminate(Ctx, Mu, LC.options().MaxDeriveStates, Memo) !=
-            Termination::No)
+        if (canTerminate(Ctx, Mu, Memo) != Termination::No)
           return;
         LC.emit(id(), category(), Loc,
                 "in '" + std::string(In.text(B.Name)) + "', recursion 'mu " +

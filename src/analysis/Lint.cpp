@@ -40,6 +40,14 @@ Diagnostic *LintContext::emit(std::string_view Id, std::string_view Category,
   return &D;
 }
 
+const plan::ServiceIndex &LintContext::index() {
+  if (!Index) {
+    OwnIndex = std::make_unique<plan::ServiceIndex>(Ctx, File.Repo);
+    Index = OwnIndex.get();
+  }
+  return *Index;
+}
+
 SourceLoc LintContext::declLoc(const std::map<Symbol, SourceLoc> &Locs,
                                Symbol Name) const {
   SourceLoc Loc = File.locOf(Locs, Name);

@@ -20,9 +20,11 @@
 #define SUS_ANALYSIS_LINT_H
 
 #include "hist/HistContext.h"
+#include "plan/ServiceIndex.h"
 #include "support/Diagnostics.h"
 #include "syntax/FileParser.h"
 
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -31,7 +33,7 @@
 namespace sus {
 namespace analysis {
 
-/// Severity and budget configuration for a lint run.
+/// Severity configuration for a lint run.
 struct LintOptions {
   /// Promote every lint warning to an error (-Werror).
   bool WarningsAsErrors = false;
@@ -41,33 +43,31 @@ struct LintOptions {
 
   /// Suppress specific IDs entirely (--disable=sus-lint-...).
   std::set<std::string, std::less<>> DisabledIds;
-
-  /// Budget for the doomed-framing pass: candidate plans examined per
-  /// client and states explored per plan. Linting stays cheap; the full
-  /// verifier remains the authority on plan validity.
-  size_t MaxPlansPerClient = 64;
-  size_t MaxStatesPerPlan = 1 << 14;
-
-  /// Budget for termination analyses (reachable expressions explored).
-  size_t MaxDeriveStates = 1 << 12;
 };
 
-/// Everything a pass sees: the parsed file, its context, and the emitter.
-/// Passes must treat the file and context as read-only program state —
-/// interning new expressions for scratch work (projections, derivatives)
-/// is fine, mutating the SusFile is not.
+/// Everything a pass sees: the parsed file, its context, the candidate
+/// index over its repository, and the emitter. Passes must treat the file
+/// and context as read-only program state — interning new expressions for
+/// scratch work (projections, derivatives) is fine, mutating the SusFile
+/// is not.
 class LintContext {
 public:
+  /// \p Index, when given, must describe `File.Repo` (core::Session
+  /// passes its Verifier's); null builds one on first use.
   LintContext(hist::HistContext &Ctx, const syntax::SusFile &File,
               std::string_view FileName, const LintOptions &Options,
-              DiagnosticEngine &Diags)
+              DiagnosticEngine &Diags,
+              const plan::ServiceIndex *Index = nullptr)
       : Ctx(Ctx), File(File), FileName(FileName), Options(Options),
-        Diags(Diags) {}
+        Diags(Diags), Index(Index) {}
 
   hist::HistContext &context() const { return Ctx; }
   const syntax::SusFile &file() const { return File; }
   std::string_view fileName() const { return FileName; }
   const LintOptions &options() const { return Options; }
+
+  /// The candidate index over `file().Repo`.
+  const plan::ServiceIndex &index();
 
   /// Emits one finding for pass \p Id at \p Loc. Applies the severity
   /// configuration: returns null when the ID is disabled (the caller skips
@@ -91,6 +91,9 @@ private:
   std::string_view FileName;
   const LintOptions &Options;
   DiagnosticEngine &Diags;
+  const plan::ServiceIndex *Index;
+  /// The index built by index() when none was given.
+  std::unique_ptr<plan::ServiceIndex> OwnIndex;
   unsigned NumFindings = 0;
 };
 

@@ -3,13 +3,15 @@
 /// Two passes over the orchestration layer:
 ///
 ///  - sus-lint-no-candidate-service: a request site no published service
-///    can serve — every compliance check Hc! ⊢ Hs! against the repository
-///    fails, so no plan can ever bind the request;
+///    can serve — Hc! ⊢ Hs! fails for every candidate the ServiceIndex
+///    returns (a superset of the compliant services), so no plan can ever
+///    bind the request;
 ///  - sus-lint-deadend-ready-sets: declared `plan` blocks whose bindings
 ///    cannot work — unknown clients or locations, requests nothing opens,
 ///    and bindings where some nonempty client ready set cannot synchronize
 ///    with some service ready set (Def. 4's condition fails at the very
-///    first step, so the pair can get stuck immediately).
+///    first step, so the pair can get stuck immediately; the check is
+///    contract::firstStuckPair, the index's first-step screen).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +19,13 @@
 #include "analysis/Lint.h"
 
 #include "contract/Compliance.h"
-#include "contract/Project.h"
-#include "contract/ReadySets.h"
+#include "contract/Prescreen.h"
 #include "plan/RequestExtract.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 using namespace sus;
@@ -56,34 +58,22 @@ public:
     hist::HistContext &Ctx = LC.context();
     const StringInterner &In = Ctx.interner();
     const syntax::SusFile &File = LC.file();
-
-    // Compliance depends only on the two behaviours; memoize across
-    // request sites that share a body (hash-consing makes this common).
-    std::map<std::pair<const hist::Expr *, const hist::Expr *>, bool> Memo;
-    auto Compliant = [&](const hist::Expr *Body, const hist::Expr *Service) {
-      auto Key = std::make_pair(Body, Service);
-      auto It = Memo.find(Key);
-      if (It != Memo.end())
-        return It->second;
-      bool OK =
-          static_cast<bool>(contract::checkServiceCompliance(Ctx, Body,
-                                                             Service));
-      Memo.emplace(Key, OK);
-      return OK;
-    };
+    const plan::ServiceIndex &Index = LC.index();
 
     for (const BehaviorRef &B : allBehaviors(File)) {
       SourceLoc Loc = LC.declLoc(
           B.IsService ? File.ServiceLocs : File.ClientLocs, B.Name);
       for (const plan::RequestSite &Site :
            plan::extractRequests(B.Body)) {
-        bool AnyCandidate = false;
-        for (const auto &[L, Service] : File.Repo.services())
-          if (Compliant(Site.body(), Service)) {
-            AnyCandidate = true;
-            break;
-          }
-        if (AnyCandidate)
+        // The index's candidates are a superset of the compliant
+        // services (DESIGN.md §10): only they can serve the request.
+        std::vector<plan::Loc> Candidates = Index.candidates(Site.body());
+        if (std::any_of(Candidates.begin(), Candidates.end(),
+                        [&](plan::Loc L) {
+                          return contract::checkServiceCompliance(
+                                     Ctx, Site.body(), File.Repo.find(L))
+                              .Compliant;
+                        }))
           continue;
         LC.emit(id(), category(), Loc,
                 "request " + std::to_string(Site.id()) + " in '" +
@@ -145,42 +135,28 @@ public:
                       ", but no declared behaviour opens it");
           continue;
         }
-        const hist::Expr *Cs = contract::project(Ctx, Service);
-        if (!contract::isContract(Cs))
-          continue;
-        std::vector<contract::ReadySet> ServerSets =
-            contract::readySets(Cs);
+        contract::ContractSummary Server =
+            contract::summarizeContract(Ctx, Service);
         for (const plan::RequestSite &Site : SiteIt->second) {
-          const hist::Expr *Cc = contract::project(Ctx, Site.body());
-          if (!contract::isContract(Cc))
+          contract::ContractSummary Request =
+              contract::summarizeContract(Ctx, Site.body());
+          std::optional<contract::StuckPair> Stuck =
+              contract::firstStuckPair(Request, Server);
+          if (!Stuck)
             continue;
-          bool Reported = false;
-          for (const contract::ReadySet &C : contract::readySets(Cc)) {
-            if (C.empty() || Reported)
-              continue;
-            for (const contract::ReadySet &S : ServerSets) {
-              if (contract::canSynchronize(C, S))
-                continue;
-              Diagnostic *D = LC.emit(
-                  id(), category(), Loc,
-                  "plan '" + PlanName + "' binds request " +
-                      std::to_string(R) + " to '" +
-                      std::string(In.text(L)) +
-                      "', but they can get stuck at the first step");
-              if (D)
-                D->note(SourceLoc{0, 0, LC.fileName()},
-                        "the request may offer " + renderReadySet(C, In) +
-                            " while '" + std::string(In.text(L)) +
-                            "' offers " + renderReadySet(S, In) +
-                            ": no synchronization is possible");
-              Reported = true;
-              break;
-            }
-            if (Reported)
-              break;
-          }
-          if (Reported)
-            break;
+          Diagnostic *D = LC.emit(
+              id(), category(), Loc,
+              "plan '" + PlanName + "' binds request " + std::to_string(R) +
+                  " to '" + std::string(In.text(L)) +
+                  "', but they can get stuck at the first step");
+          if (D)
+            D->note(SourceLoc{0, 0, LC.fileName()},
+                    "the request may offer " +
+                        renderReadySet(*Stuck->Client, In) + " while '" +
+                        std::string(In.text(L)) + "' offers " +
+                        renderReadySet(*Stuck->Service, In) +
+                        ": no synchronization is possible");
+          break;
         }
       }
     }

@@ -67,6 +67,21 @@ ContractSummary sus::contract::summarizeContract(HistContext &Ctx,
   return Summary;
 }
 
+std::optional<StuckPair>
+sus::contract::firstStuckPair(const ContractSummary &Client,
+                              const ContractSummary &Service) {
+  if (!Client.Screenable || !Service.Screenable)
+    return std::nullopt;
+  for (const ReadySet &C : Client.InitialSets) {
+    if (C.empty())
+      continue;
+    for (const ReadySet &S : Service.InitialSets)
+      if (!canSynchronize(C, S))
+        return StuckPair{&C, &S};
+  }
+  return std::nullopt;
+}
+
 PrescreenVerdict
 sus::contract::prescreenCompliance(const ContractSummary &Client,
                                    const ContractSummary &Service) {
@@ -87,15 +102,9 @@ sus::contract::prescreenCompliance(const ContractSummary &Client,
       return PrescreenVerdict::AlphabetReject;
   }
 
-  // First-step screen: Def. 4 clause (1) at the initial state. One pair
-  // (C ≠ ∅, S) with C ∩ S̄ = ∅ is a stuck state the product checker is
-  // guaranteed to reach at its start.
-  for (const ReadySet &C : Client.InitialSets) {
-    if (C.empty())
-      continue;
-    for (const ReadySet &S : Service.InitialSets)
-      if (!canSynchronize(C, S))
-        return PrescreenVerdict::FirstStepReject;
-  }
+  // First-step screen: one stuck pair of initial ready sets is a stuck
+  // state the product checker is guaranteed to reach at its start.
+  if (firstStuckPair(Client, Service))
+    return PrescreenVerdict::FirstStepReject;
   return PrescreenVerdict::Pass;
 }

@@ -33,6 +33,7 @@
 #include "hist/Expr.h"
 #include "hist/HistContext.h"
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -68,6 +69,21 @@ struct ContractSummary {
 /// project(); pass a request body or a published service verbatim).
 ContractSummary summarizeContract(hist::HistContext &Ctx,
                                   const hist::Expr *E);
+
+/// Two initial ready sets violating Def. 4 clause (1): the client offers
+/// C ≠ ∅, the service offers S, and C ∩ S̄ = ∅. Both point into the
+/// summaries they were found in.
+struct StuckPair {
+  const ReadySet *Client = nullptr;
+  const ReadySet *Service = nullptr;
+};
+
+/// Def. 4 clause (1) at the initial state: the first stuck pair in
+/// (client set, service set) order, or nullopt when there is none or
+/// either summary is not Screenable. The one owner of the first-step
+/// check: the first-step screen and `sus-lint-deadend-ready-sets` ask it.
+std::optional<StuckPair> firstStuckPair(const ContractSummary &Client,
+                                        const ContractSummary &Service);
 
 /// Why a pre-screen rejected a candidate pair (or didn't).
 enum class PrescreenVerdict : uint8_t {

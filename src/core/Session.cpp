@@ -267,7 +267,7 @@ int Session::planReport(uint64_t ChurnRounds, uint64_t Seed,
 int Session::lint(const analysis::LintOptions &Opts, DiagFormat Format,
                   std::ostream &OS) {
   DiagnosticEngine Diags;
-  analysis::LintContext LC(Ctx, *File, FileName, Opts, Diags);
+  analysis::LintContext LC(Ctx, *File, FileName, Opts, Diags, V->index());
   unsigned Findings = analysis::runLintPasses(LC);
   Diags.print(OS, Format);
   if (Format == DiagFormat::Text)

@@ -85,6 +85,8 @@ public:
 
   /// Runs the lint passes and renders their findings in \p Format (plus a
   /// summary line in text). Returns 1 when anything was found, else 0.
+  /// The passes share the verifier's ServiceIndex, so their lookups add
+  /// to its counters.
   int lint(const analysis::LintOptions &Opts, DiagFormat Format,
            std::ostream &OS);
 

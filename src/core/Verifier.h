@@ -132,7 +132,8 @@ struct VerificationReport {
   }
 };
 
-/// Verifier configuration.
+/// Verifier configuration. Whatever the options, every compliance and
+/// security verdict goes through the VerifierCache.
 struct VerifierOptions {
   /// Prune plan enumeration with per-binding compliance pre-checks
   /// (sound: a non-compliant binding can never be part of a valid plan).
@@ -143,12 +144,6 @@ struct VerifierOptions {
   /// Worker threads for per-plan security checking. 1 = fully serial;
   /// 0 = one per hardware thread. Reports are identical at any width.
   unsigned Jobs = 1;
-
-  /// Route checkPlan through the shared VerifierCache. Off reproduces the
-  /// pre-cache behaviour (each plan re-checks its compliance pairs and
-  /// re-explores its state space; only the pruning filter memoizes) — kept
-  /// for the B7 baseline measurements. Off forces Jobs = 1.
-  bool UseCache = true;
 
   /// Enumerate candidates through a plan::ServiceIndex (built lazily per
   /// verifier, kept current by applyDelta) instead of scanning the whole
@@ -274,14 +269,14 @@ private:
   collectPlanSites(const hist::Expr *Client, const plan::Plan &Pi) const;
 
   /// Builds the per-request compliance section of a verdict, answering
-  /// every pair from the cache (or directly when UseCache is off).
+  /// every pair from the cache.
   std::vector<RequestCheck>
   buildRequestChecks(const std::map<hist::RequestId, plan::RequestSite> &ById,
                      const plan::Plan &Pi);
 
   /// Cache-aware whole-plan security check on the session context. When
   /// \p CacheHit is non-null it reports whether the verdict came from the
-  /// VerifierCache (always false with UseCache off).
+  /// VerifierCache.
   validity::StaticValidityResult securityOf(const hist::Expr *Client,
                                             plan::Loc ClientLoc,
                                             const plan::Plan &Pi,
@@ -300,17 +295,11 @@ private:
                           const std::vector<plan::Plan> &Plans,
                           unsigned Jobs, VerificationReport &Report);
 
-  /// Effective worker count (resolves Jobs == 0, honours UseCache).
+  /// Effective worker count (resolves Jobs == 0).
   unsigned effectiveJobs() const;
 
   /// The session governor, or null when ungoverned.
   const ResourceGovernor *gov() const { return Options.Governor.get(); }
-
-  /// Memoized compliance with the full result (witness + exhaustion),
-  /// honouring UseCache and the governor. Exhausted results are never
-  /// memoized on either path.
-  contract::ComplianceResult complianceOf(const hist::Expr *RequestBody,
-                                          const hist::Expr *Service);
 
   /// True when candidate selection goes through the index: requires both
   /// UseIndex and the compliance filter (see VerifierOptions::UseIndex).
@@ -329,10 +318,6 @@ private:
 
   /// Lazily created; rebuilt when the requested width changes.
   std::unique_ptr<ThreadPool> Pool;
-
-  /// Legacy pruning memo, used only when UseCache is off.
-  std::map<std::pair<const hist::Expr *, const hist::Expr *>, bool>
-      ComplianceMemo;
 };
 
 /// Renders the first line of printReport: the candidate and binding

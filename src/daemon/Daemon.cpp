@@ -52,13 +52,15 @@ int Engine::warmAll(std::ostream &OS) {
 }
 
 Response Engine::handle(const Request &R) {
-  MutexLock Lock(M);
   Response Resp;
-
+  // A health check touches no session state: answer it without waiting
+  // behind the request that holds the session lock.
   if (R.Verb == "ping") {
     Resp.Body = "pong\n";
     return Resp;
   }
+
+  MutexLock Lock(M);
   if (R.Verb == "shutdown") {
     Shutdown.store(true, std::memory_order_relaxed);
     Resp.Body = "bye\n";

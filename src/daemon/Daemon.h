@@ -10,8 +10,8 @@
 /// what susc prints.
 ///
 /// Concurrency model: connections are accepted on the main thread and
-/// handed to a ThreadPool; each request then takes the Engine's session
-/// lock for its whole handling. The HistContext is single-threaded by
+/// handed to a ThreadPool; each request but `ping` then takes the Engine's
+/// session lock for its whole handling (a ping never waits behind one). The HistContext is single-threaded by
 /// design, so requests serialize at the engine while socket I/O overlaps;
 /// parallelism *within* a verification comes from the Verifier's own
 /// worker shards (--jobs).

@@ -9,17 +9,24 @@
 /// The harness parses the fixture, runs all passes, and compares the SET of
 /// (severity, id) pairs observed against the annotated set — so a fixture
 /// that legitimately fires the same pass twice carries one annotation, and
-/// a clean fixture carries none.
+/// a clean fixture carries none. The index-backed no-candidate pass is also
+/// checked against a whole-repository compliance scan over generated
+/// programs and the shipped examples.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ExprWalk.h"
 #include "analysis/Lint.h"
+#include "contract/Compliance.h"
+#include "fuzz/Generator.h"
 #include "hist/HistContext.h"
+#include "plan/RequestExtract.h"
 #include "support/Diagnostics.h"
 #include "syntax/FileParser.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -30,13 +37,16 @@ using namespace sus;
 
 namespace {
 
-std::string readFixture(const std::string &Name) {
-  std::string Path = std::string(SUS_LINT_FIXTURE_DIR) + "/" + Name;
+std::string readFile(const std::string &Path) {
   std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open fixture " << Path;
+  EXPECT_TRUE(In.good()) << "cannot open " << Path;
   std::ostringstream SS;
   SS << In.rdbuf();
   return SS.str();
+}
+
+std::string readFixture(const std::string &Name) {
+  return readFile(std::string(SUS_LINT_FIXTURE_DIR) + "/" + Name);
 }
 
 /// (severity, id) pairs, e.g. {"warning", "sus-lint-dead-branch"}.
@@ -206,6 +216,85 @@ TEST(LintJsonGoldenTest, DeadBranchNoteSurvivesJson) {
             "\"message\": \"unreachable: 'B!'\"}\n"
             "  ]}\n"
             "]\n");
+}
+
+//===----------------------------------------------------------------------===//
+// sus-lint-no-candidate-service: index-backed ≡ repository scan
+//===----------------------------------------------------------------------===//
+
+/// (behaviour, request id) pairs.
+using RequestSet = std::set<std::pair<std::string, hist::RequestId>>;
+
+/// What the pass reports, read back from its messages.
+RequestSet noCandidateFindings(hist::HistContext &Ctx,
+                               const syntax::SusFile &File) {
+  const analysis::LintPass *Pass = nullptr;
+  for (const analysis::LintPass *P : analysis::allLintPasses())
+    if (P->id() == "sus-lint-no-candidate-service")
+      Pass = P;
+  EXPECT_NE(Pass, nullptr);
+  DiagnosticEngine Diags;
+  analysis::LintOptions Opts;
+  analysis::LintContext LC(Ctx, File, "f.sus", Opts, Diags);
+  Pass->run(LC);
+  RequestSet Out;
+  for (const Diagnostic &D : Diags.diagnostics()) {
+    unsigned Id = 0;
+    char Name[256] = {};
+    EXPECT_EQ(std::sscanf(D.Message.c_str(), "request %u in '%255[^']'", &Id,
+                          Name),
+              2)
+        << D.Message;
+    Out.emplace(Name, Id);
+  }
+  return Out;
+}
+
+/// The oracle: a request nothing in the whole repository complies with.
+RequestSet scannedNoCandidate(hist::HistContext &Ctx,
+                              const syntax::SusFile &File) {
+  RequestSet Out;
+  for (const analysis::BehaviorRef &B : analysis::allBehaviors(File))
+    for (const plan::RequestSite &Site : plan::extractRequests(B.Body)) {
+      bool Any = false;
+      for (const auto &[L, Service] : File.Repo.services())
+        if (contract::checkServiceCompliance(Ctx, Site.body(), Service)
+                .Compliant) {
+          Any = true;
+          break;
+        }
+      if (!Any)
+        Out.emplace(std::string(Ctx.interner().text(B.Name)), Site.id());
+    }
+  return Out;
+}
+
+TEST(LintNoCandidateTest, IndexedPassMatchesRepositoryScan) {
+  std::vector<std::pair<std::string, std::string>> Files;
+  for (uint64_t Seed = 0; Seed < 100; ++Seed)
+    Files.emplace_back("seed " + std::to_string(Seed),
+                       fuzz::generateProgram(Seed).source());
+  for (const char *Example : {"hotel.sus", "marketplace.sus"})
+    Files.emplace_back(Example, readFile(std::string(SUS_EXAMPLES_DIR) +
+                                         "/" + Example));
+
+  size_t Reported = 0, Served = 0;
+  for (const auto &[Label, Source] : Files) {
+    hist::HistContext Ctx;
+    DiagnosticEngine ParseDiags;
+    std::optional<syntax::SusFile> File =
+        syntax::parseSusFile(Ctx, Source, ParseDiags, "f.sus");
+    ASSERT_TRUE(File.has_value()) << Label;
+    RequestSet Scanned = scannedNoCandidate(Ctx, *File);
+    EXPECT_EQ(noCandidateFindings(Ctx, *File), Scanned) << Label;
+    Reported += Scanned.size();
+    for (const analysis::BehaviorRef &B : analysis::allBehaviors(*File))
+      Served += plan::extractRequests(B.Body).size();
+  }
+  Served -= Reported;
+  // Both verdicts occur, so neither side of the comparison is vacuous.
+  EXPECT_GT(Reported, 0u);
+  EXPECT_GT(Served, 0u);
 }
 
 } // namespace

@@ -6,21 +6,26 @@
 /// line cap and malformed frames are clean errors), the per-tenant
 /// budget table (spec parsing, min-combination, governor arming), and
 /// the Engine itself driven in-process through the same handle() path a
-/// connection uses — verify/lint/churn verdicts, snapshot save/load
-/// (atomic on disk), per-request deadlines and the shutdown handshake.
+/// connection uses — verify/lint/churn verdicts, lint sharing the
+/// session's index, snapshot save/load (atomic on disk), per-request
+/// deadlines, a ping answered while another request holds the session,
+/// and the shutdown handshake.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
 #include "daemon/Protocol.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 using namespace sus;
@@ -165,6 +170,27 @@ std::string exampleSource(const char *Name) {
   return Buffer.str();
 }
 
+/// The Fig. 2 hotel scaled up: \p Hotels hotels behind the broker and
+/// \p Clients clients, each with Hotels candidate plans to verify.
+std::string scaledHotelSource(unsigned Hotels, unsigned Clients) {
+  std::string Source = exampleSource("hotel.sus");
+  std::string Out = Source.substr(0, Source.find("# Fig. 2"));
+  Out += "service br { Req? . (open 1000 { IdC! . (Bok? + UnA?) }; "
+         "(CoBo! . Pay? <+> NoAv!)) }\n";
+  for (unsigned H = 0; H < Hotels; ++H) {
+    std::string Name = "h" + std::to_string(H);
+    Out += "service " + Name + " { %sgn(" + Name + "); %p(" +
+           std::to_string(30 + H % 90) + "); %ta(" +
+           std::to_string(50 + H % 50) + "); IdC? . (Bok! <+> UnA!) }\n";
+  }
+  for (unsigned C = 1; C <= Clients; ++C)
+    Out += "client c" + std::to_string(C) + " { open " + std::to_string(C) +
+           " @ phi({h" + std::to_string(C % Hotels) + "}," +
+           std::to_string(40 + C % 70) + ",80) "
+           "{ Req! . (CoBo? . Pay! + NoAv?) } }\n";
+  return Out;
+}
+
 std::string readAll(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::stringstream Buffer;
@@ -237,6 +263,65 @@ TEST(Engine, LintRunsCleanOnTheExamples) {
   auto E = makeEngine();
   Response R = E->handle(req("lint"));
   EXPECT_EQ(R.Exit, 0) << R.Body;
+}
+
+TEST(Engine, LintSharesTheIndexWithoutChangingVerify) {
+  // Lint asks the session's index; verification must report the same
+  // bytes around it, and lint must say what it says on a fresh session.
+  auto IndexLookups = [](Engine &E) {
+    std::string Body = E.handle(req("stats")).Body;
+    size_t At = Body.find(" services, ", Body.find("index: "));
+    return std::stoul(Body.substr(At + 11));
+  };
+  for (const std::string &Source :
+       {exampleSource("hotel.sus"), exampleSource("marketplace.sus"),
+        readAll(SUS_LINT_FIXTURE_DIR "/no-candidate-service.sus"),
+        readAll(SUS_LINT_FIXTURE_DIR "/deadend-ready-sets.sus")}) {
+    std::string Err;
+    std::unique_ptr<Engine> E = Engine::create(Source, "f.sus", {}, Err);
+    ASSERT_NE(E, nullptr) << Err;
+    Response Before = E->handle(req("verify"));
+    size_t Lookups = IndexLookups(*E);
+    Response Lint = E->handle(req("lint"));
+    EXPECT_GT(IndexLookups(*E), Lookups) << "lint did not use the index";
+    Response After = E->handle(req("verify"));
+    EXPECT_EQ(After.Exit, Before.Exit);
+    EXPECT_EQ(After.Body, Before.Body);
+
+    std::unique_ptr<Engine> Fresh = Engine::create(Source, "f.sus", {}, Err);
+    ASSERT_NE(Fresh, nullptr) << Err;
+    Response Alone = Fresh->handle(req("lint"));
+    EXPECT_EQ(Lint.Exit, Alone.Exit);
+    EXPECT_EQ(Lint.Body, Alone.Body);
+  }
+}
+
+TEST(Engine, PingIsAnsweredWhileARequestHoldsTheSession) {
+  std::string Err;
+  std::unique_ptr<Engine> E =
+      Engine::create(scaledHotelSource(200, 32), "scaled.sus", {}, Err);
+  ASSERT_NE(E, nullptr) << Err;
+  // Every client the verify reaches asks the index, under the session
+  // lock: once the counter moves the verify holds the engine, and it
+  // keeps moving until the verify is done.
+  metrics::enable();
+  metrics::Counter &Lookups = metrics::counter("plan.index.lookups");
+  uint64_t Before = Lookups.value();
+  std::atomic<bool> VerifyReturned{false};
+  std::thread Long([&] {
+    Response R = E->handle(req("verify"));
+    VerifyReturned = true;
+    EXPECT_EQ(R.Exit, 0) << R.Body;
+  });
+  while (Lookups.value() == Before && !VerifyReturned)
+    std::this_thread::yield();
+  Response Pong = E->handle(req("ping"));
+  uint64_t AtPong = Lookups.value();
+  Long.join();
+  uint64_t AtEnd = Lookups.value();
+  metrics::disable();
+  EXPECT_EQ(Pong.Body, "pong\n");
+  EXPECT_LT(AtPong, AtEnd) << "the ping waited for the verify to finish";
 }
 
 TEST(Engine, ChurnRepairsDeterministically) {

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -206,6 +207,7 @@ TEST_F(ServiceIndexTest, PrescreenSoundnessOnRandomPairs) {
   // Necessary conditions only: a pre-screen Reject must imply the full
   // Def. 4 check rejects too, over a few hundred random pairs.
   Lcg Rng{0x5eedULL};
+  unsigned StuckPairs = 0;
   for (unsigned Round = 0; Round < 40; ++Round) {
     const Expr *Body = randomBody(Ctx, Rng);
     const Expr *Service = randomService(Ctx, Rng, 900 + Round);
@@ -224,7 +226,23 @@ TEST_F(ServiceIndexTest, PrescreenSoundnessOnRandomPairs) {
     if (Compliant) {
       EXPECT_EQ(Verdict, contract::PrescreenVerdict::Pass);
     }
+    // The first-step helper behind the screen and the deadend lint: a
+    // stuck pair is a non-empty client set with no synchronization
+    // partner, and it refutes compliance.
+    std::optional<contract::StuckPair> Stuck =
+        contract::firstStuckPair(BodySummary, ServiceSummary);
+    if (Stuck) {
+      ++StuckPairs;
+      EXPECT_FALSE(Compliant) << "stuck pair on a compliant pair (round "
+                              << Round << ")";
+      EXPECT_FALSE(Stuck->Client->empty());
+      EXPECT_FALSE(contract::canSynchronize(*Stuck->Client, *Stuck->Service));
+    }
+    if (Verdict == contract::PrescreenVerdict::FirstStepReject) {
+      EXPECT_TRUE(Stuck.has_value()) << "round " << Round;
+    }
   }
+  EXPECT_GT(StuckPairs, 0u) << "no round exercised the first-step helper";
 }
 
 TEST_F(ServiceIndexTest, HotelPairsSurviveTheScreens) {
