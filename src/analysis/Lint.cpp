@@ -2,6 +2,8 @@
 
 #include "analysis/Lint.h"
 
+#include "support/Trace.h"
+
 using namespace sus;
 using namespace sus::analysis;
 
@@ -72,6 +74,10 @@ unsigned sus::analysis::runLintPasses(LintContext &LC) {
   for (const LintPass *Pass : allLintPasses()) {
     if (LC.options().DisabledIds.count(Pass->id()))
       continue;
+    trace::Span Span("lint.pass", "analysis");
+    // Pass ids are string literals, so the view is NUL-terminated and
+    // outlives the trace.
+    Span.tag("pass", Pass->id().data());
     Pass->run(LC);
   }
   return LC.findings() - Before;

@@ -102,7 +102,8 @@ class LintPass {
 public:
   virtual ~LintPass() = default;
 
-  /// The stable diagnostic ID this pass emits ("sus-lint-...").
+  /// The stable diagnostic ID this pass emits ("sus-lint-..."). Must view
+  /// a string literal: runLintPasses tags its trace span with it.
   virtual std::string_view id() const = 0;
 
   /// Category for grouping ("lint.policy", "lint.framing", ...).
@@ -119,7 +120,8 @@ public:
 const std::vector<const LintPass *> &allLintPasses();
 
 /// Runs every enabled pass over \p LC; returns the number of findings.
-/// A pass whose ID is disabled is skipped entirely.
+/// A pass whose ID is disabled is skipped entirely. Each pass that runs
+/// records one `lint.pass` span tagged with its ID.
 unsigned runLintPasses(LintContext &LC);
 
 } // namespace analysis

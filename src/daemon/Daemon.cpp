@@ -190,7 +190,7 @@ void serveConnection(Engine &E, int Fd) {
   std::string Err;
   std::string Line;
   Response Resp;
-  if (!readLine(Fd, Line, MaxRequestLine, Err)) {
+  if (!readLine(Fd, Line, MaxRequestLine, Err, RequestLineDeadlineMs)) {
     Resp = errorResponse(Err);
   } else {
     Request Req;

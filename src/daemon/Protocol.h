@@ -33,6 +33,12 @@ namespace daemon {
 /// request, low enough that a hostile peer cannot balloon the daemon.
 constexpr size_t MaxRequestLine = 64 * 1024;
 
+/// Time a peer has to deliver its whole request line, from the moment its
+/// connection is served. A peer that stays silent or trickles past it is
+/// answered with an error and disconnected, so idle connections cannot
+/// hold the daemon's workers.
+constexpr int RequestLineDeadlineMs = 2000;
+
 /// A parsed request: a verb plus string parameters.
 struct Request {
   std::string Verb;

@@ -2,7 +2,9 @@
 
 #include "daemon/Socket.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <poll.h>
@@ -103,11 +105,32 @@ int daemon::connectTo(const std::string &Path, std::string &Err) {
 }
 
 bool daemon::readLine(int Fd, std::string &Line, size_t MaxLen,
-                      std::string &Err) {
+                      std::string &Err, int DeadlineMs) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(DeadlineMs, 0));
   Line.clear();
-  char C;
+  char Buf[4096];
   while (true) {
-    ssize_t N = ::read(Fd, &C, 1);
+    if (DeadlineMs >= 0) {
+      auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      Deadline - Clock::now())
+                      .count();
+      pollfd P{Fd, POLLIN, 0};
+      int Ready = Left > 0 ? ::poll(&P, 1, static_cast<int>(Left)) : 0;
+      if (Ready < 0) {
+        if (errno == EINTR)
+          continue;
+        Err = errnoMessage("poll");
+        return false;
+      }
+      if (Ready == 0) {
+        Err = "no complete line within " + std::to_string(DeadlineMs) + " ms";
+        return false;
+      }
+    }
+    // Peek first, then consume only through the newline.
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), MSG_PEEK);
     if (N == 0) {
       Err = "connection closed before end of line";
       return false;
@@ -118,13 +141,22 @@ bool daemon::readLine(int Fd, std::string &Line, size_t MaxLen,
       Err = errnoMessage("read");
       return false;
     }
-    if (C == '\n')
-      return true;
-    if (Line.size() >= MaxLen) {
+    const char *Newline =
+        static_cast<const char *>(std::memchr(Buf, '\n', N));
+    size_t Take = Newline ? Newline - Buf + 1 : static_cast<size_t>(N);
+    size_t Text = Newline ? Take - 1 : Take;
+    if (Line.size() + Text > MaxLen) {
       Err = "line exceeds " + std::to_string(MaxLen) + " bytes";
       return false;
     }
-    Line.push_back(C);
+    // The peeked bytes are queued, so this read returns them at once.
+    if (::read(Fd, Buf, Take) != static_cast<ssize_t>(Take)) {
+      Err = errnoMessage("read");
+      return false;
+    }
+    Line.append(Buf, Text);
+    if (Newline)
+      return true;
   }
 }
 

@@ -4,9 +4,9 @@
 /// Thin blocking AF_UNIX helpers shared by the daemon and the
 /// `susc --connect` client: listen/accept with a poll()-based timeout
 /// (so the daemon's accept loop can notice a shutdown flag), connect,
-/// line-delimited reads with a hard cap, and write-all. Every function
-/// reports failure through an errno-derived message instead of printing,
-/// so callers own the diagnostics.
+/// line-delimited reads with a hard cap and an optional deadline, and
+/// write-all. Every function reports failure through an errno-derived
+/// message instead of printing, so callers own the diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +34,12 @@ int acceptClient(int ListenFd, int TimeoutMs, std::string &Err);
 int connectTo(const std::string &Path, std::string &Err);
 
 /// Reads bytes up to and including '\n' (stripped from \p Line), capped
-/// at \p MaxLen. False on EOF-before-newline, overflow, or error.
-bool readLine(int Fd, std::string &Line, size_t MaxLen, std::string &Err);
+/// at \p MaxLen. Reads in chunks, but never past the newline: what
+/// follows stays queued on the socket. With \p DeadlineMs >= 0 the whole
+/// line must arrive within that many milliseconds. False on
+/// EOF-before-newline, overflow, a missed deadline, or error.
+bool readLine(int Fd, std::string &Line, size_t MaxLen, std::string &Err,
+              int DeadlineMs = -1);
 
 /// Reads exactly \p Len bytes into \p Out. False on short read.
 bool readExact(int Fd, size_t Len, std::string &Out, std::string &Err);

@@ -107,3 +107,13 @@ std::vector<Transition> sus::hist::derive(HistContext &Ctx, const Expr *E) {
   deriveInto(Ctx, E, Out, MaxUnfoldDepth);
   return Out;
 }
+
+void sus::hist::pendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
+  if (const auto *S = dyn_cast<SeqExpr>(E)) {
+    pendingFrameCloses(S->head(), Out);
+    pendingFrameCloses(S->tail(), Out);
+    return;
+  }
+  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
+    Out.push_back(F->policy());
+}

@@ -48,9 +48,8 @@ sus::monitor::policySetFingerprint(const std::vector<PolicyRef> &Refs,
   return static_cast<uint64_t>(Seed);
 }
 
-namespace {
-
-void collectRefs(const Expr *E, std::vector<PolicyRef> &Out) {
+void sus::monitor::appendPolicyRefs(const Expr *E,
+                                    std::vector<PolicyRef> &Out) {
   auto Add = [&Out](const PolicyRef &Ref) {
     if (!Ref.isTrivial())
       Out.push_back(Ref);
@@ -70,49 +69,39 @@ void collectRefs(const Expr *E, std::vector<PolicyRef> &Out) {
     Add(cast<FrameCloseExpr>(E)->policy());
     return;
   case ExprKind::Mu:
-    collectRefs(cast<MuExpr>(E)->body(), Out);
+    appendPolicyRefs(cast<MuExpr>(E)->body(), Out);
     return;
   case ExprKind::Seq: {
     const auto *S = cast<SeqExpr>(E);
-    collectRefs(S->head(), Out);
-    collectRefs(S->tail(), Out);
+    appendPolicyRefs(S->head(), Out);
+    appendPolicyRefs(S->tail(), Out);
     return;
   }
   case ExprKind::ExtChoice:
   case ExprKind::IntChoice:
     for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectRefs(B.Body, Out);
+      appendPolicyRefs(B.Body, Out);
     return;
   case ExprKind::Request: {
     const auto *R = cast<RequestExpr>(E);
     Add(R->policy());
-    collectRefs(R->body(), Out);
+    appendPolicyRefs(R->body(), Out);
     return;
   }
   case ExprKind::Framing: {
     const auto *F = cast<FramingExpr>(E);
     Add(F->policy());
-    collectRefs(F->body(), Out);
+    appendPolicyRefs(F->body(), Out);
     return;
   }
   }
-}
-
-} // namespace
-
-std::vector<PolicyRef> sus::monitor::collectPolicyRefs(const Expr *Root) {
-  std::vector<PolicyRef> Out;
-  collectRefs(Root, Out);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
 }
 
 std::vector<PolicyRef>
 sus::monitor::collectPolicyRefs(const std::vector<const Expr *> &Exprs) {
   std::vector<PolicyRef> Out;
   for (const Expr *E : Exprs)
-    collectRefs(E, Out);
+    appendPolicyRefs(E, Out);
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
@@ -323,6 +312,19 @@ sus::monitor::fusePolicies(const policy::PolicyRegistry &Registry,
     metrics::counter("monitor.fusions").add();
   Span.count("policies", static_cast<int64_t>(F.Policies.size()));
   return F;
+}
+
+FusedPolicyAutomaton
+sus::monitor::fuseBehaviors(const policy::PolicyRegistry &Registry,
+                            const StringInterner &Interner,
+                            std::vector<const Expr *> Behaviors) {
+  // Walk a behaviour bound to several requests once.
+  std::sort(Behaviors.begin(), Behaviors.end());
+  Behaviors.erase(std::unique(Behaviors.begin(), Behaviors.end()),
+                  Behaviors.end());
+  return fusePolicies(Registry, Interner, collectPolicyRefs(Behaviors),
+                      policy::eventUniverse(Behaviors))
+      .takeValue();
 }
 
 std::shared_ptr<const FusedPolicyAutomaton>

@@ -17,9 +17,10 @@
 /// iff the per-policy probe of policy/Validity.h would (MonitorDiffTest
 /// proves this bit for bit) — *provided the universe is closed*: every
 /// event the session can fire must be in the fusion universe, because an
-/// unseen event could match wildcard or guard edges. net::Interpreter
-/// fuses its own network's universe, so it is closed by construction;
-/// other callers of MonitorEngine must pass a closed universe.
+/// unseen event could match wildcard or guard edges. net::Interpreter and
+/// the static plan checker fuse their behaviours through fuseBehaviors,
+/// so theirs is closed by construction; other callers of MonitorEngine
+/// must pass a closed universe.
 ///
 /// Concurrency: MonitorEngine::ingest steps one fusion from several shards
 /// at once. A table hit takes no lock: it is one acquire load of a
@@ -186,11 +187,12 @@ void canonicalizePolicySet(std::vector<hist::PolicyRef> &Refs,
 uint64_t policySetFingerprint(const std::vector<hist::PolicyRef> &Refs,
                               const std::vector<hist::Event> &Universe);
 
-/// Every non-trivial policy reference occurring in \p Root (requests,
-/// framings and residual frame markers), deduplicated and sorted.
-std::vector<hist::PolicyRef> collectPolicyRefs(const hist::Expr *Root);
+/// Appends every non-trivial policy reference occurring in \p E
+/// (requests, framings and residual frame markers) to \p Out, depth first
+/// and left to right, duplicates included.
+void appendPolicyRefs(const hist::Expr *E, std::vector<hist::PolicyRef> &Out);
 
-/// Union over several expressions.
+/// The policy references of \p Exprs, deduplicated and sorted.
 std::vector<hist::PolicyRef>
 collectPolicyRefs(const std::vector<const hist::Expr *> &Exprs);
 
@@ -202,6 +204,15 @@ fusePolicies(const policy::PolicyRegistry &Registry,
              std::vector<hist::PolicyRef> Refs,
              std::vector<hist::Event> Universe,
              const FuseOptions &Opts = FuseOptions());
+
+/// Fuses every policy and event occurring in \p Behaviors, so the fusion's
+/// universe is closed over them. net::Interpreter fuses its clients and
+/// the services their plans bind; the static plan checker
+/// (validity/StaticValidity.h) fuses one client and its plan's services.
+FusedPolicyAutomaton
+fuseBehaviors(const policy::PolicyRegistry &Registry,
+              const StringInterner &Interner,
+              std::vector<const hist::Expr *> Behaviors);
 
 /// Thread-safe cache of fusions keyed by the canonical request (policies
 /// and universe) and the table bound, shared across sessions with the same

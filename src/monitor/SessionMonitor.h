@@ -1,11 +1,12 @@
 //===- monitor/SessionMonitor.h - One session's fused monitor ---*- C++ -*-===//
 ///
 /// \file
-/// The per-session view of a FusedPolicyAutomaton: one product cursor,
-/// one active-policy set, and (off the hot path) small per-policy
-/// frame-nesting counters. The event hot path is `admitsEventIndex` /
+/// The per-session view of a FusedPolicyAutomaton: one product cursor and
+/// the session's FrameCounts. The event hot path is `admitsEventIndex` /
 /// `advanceEventIndex` — one table load plus an "offending set is empty"
-/// test.
+/// test. The §3.1 rules themselves live in `takeStep`, which the static
+/// plan checker (validity/StaticValidity.h) runs on its own compact
+/// configurations, so runtime and static validity share one monitor.
 ///
 /// Semantics mirror the per-policy probe of policy/Validity.h exactly
 /// (§3.1 validity): every policy's DFA consumes the full history from
@@ -28,12 +29,115 @@
 namespace sus {
 namespace monitor {
 
+/// How deep each fused policy is framed (⌊ϕ…⌊ϕ nests) and the set of
+/// active policies that follows from it. A SessionMonitor keeps one; the
+/// static plan checker (validity/StaticValidity.h) interns one per
+/// configuration.
+struct FrameCounts {
+  std::vector<uint32_t> Depth; ///< Per PolicySet bit.
+  PolicySet Active;            ///< The bits whose Depth is not 0.
+
+  explicit FrameCounts(const FusedPolicyAutomaton &F)
+      : Depth(F.Policies.size(), 0), Active(F.setWords(), 0) {}
+
+  /// True when \p Offending (null = none) contains an active policy.
+  bool blocks(const PolicySet *Offending) const {
+    return Offending && intersects(*Offending, Active);
+  }
+
+  bool operator==(const FrameCounts &O) const { return Depth == O.Depth; }
+};
+
+/// A history label resolved against one fusion: what the §3.1 rules of
+/// takeStep act on.
+struct HistoryStep {
+  enum Kind : uint8_t {
+    Skip,        ///< A framing of the trivial policy (or an unknown event).
+    Event,       ///< Arg is the event index.
+    Open,        ///< ⌊ϕ; Arg is ϕ's PolicySet bit.
+    Close,       ///< ⌋ϕ; Arg is ϕ's PolicySet bit.
+    OpenUnknown, ///< ⌊ϕ of a policy the fusion left out (uninstantiable).
+  };
+  Kind K = Skip;
+  uint32_t Arg = 0;
+};
+
+/// Resolves ⌊\p Policy (when \p Open) or ⌋\p Policy against \p F.
+inline HistoryStep frameStep(const FusedPolicyAutomaton &F,
+                             const hist::PolicyRef &Policy, bool Open) {
+  if (Policy.isTrivial())
+    return {};
+  int Bit = F.policyBit(Policy);
+  if (Bit < 0)
+    return {Open ? HistoryStep::OpenUnknown : HistoryStep::Skip};
+  return {Open ? HistoryStep::Open : HistoryStep::Close,
+          static_cast<uint32_t>(Bit)};
+}
+
+/// Resolves the history label \p L (an event or a framing) against \p F.
+inline HistoryStep resolveLabel(const FusedPolicyAutomaton &F,
+                                const hist::Label &L) {
+  switch (L.kind()) {
+  case hist::LabelKind::Event: {
+    uint32_t Idx = F.eventIndexOf(L.asEvent());
+    // The universe must be closed (see Fused.h). An out-of-universe
+    // event is genuinely undecidable (wildcard/guard edges might match),
+    // so the defensive release behaviour is to admit it — blocking could
+    // be a wrong verdict, which the monitor must never give.
+    assert(Idx != FusedPolicyAutomaton::NoEvent &&
+           "event outside the fused universe");
+    if (Idx == FusedPolicyAutomaton::NoEvent)
+      return {};
+    return {HistoryStep::Event, Idx};
+  }
+  case hist::LabelKind::FrameOpen:
+    return frameStep(F, L.policy(), /*Open=*/true);
+  case hist::LabelKind::FrameClose:
+    return frameStep(F, L.policy(), /*Open=*/false);
+  default:
+    assert(L.isHistoryRelevant() && "monitor consumes events and framings");
+    return {};
+  }
+}
+
+/// The §3.1 validity rules, for runtime and static monitoring alike: takes
+/// \p S at product position \p C with frames \p Fr, and returns true when
+/// it violates. Every policy's DFA consumes every event (history
+/// dependence); an event violates when an active policy offends after it.
+/// ⌊ϕ activates ϕ and violates when ϕ already offends — the history so far
+/// must respect a newly framed policy — or has no automaton. ⌋ϕ closes
+/// one frame of ϕ and never violates.
+inline bool takeStep(const FusedPolicyAutomaton &F,
+                     FusedPolicyAutomaton::Cursor &C, FrameCounts &Fr,
+                     HistoryStep S) {
+  uint64_t Mask = uint64_t(1) << (S.Arg % 64);
+  switch (S.K) {
+  case HistoryStep::Skip:
+    return false;
+  case HistoryStep::Event:
+    F.step(C, S.Arg);
+    return Fr.blocks(FusedPolicyAutomaton::offending(C));
+  case HistoryStep::Open: {
+    ++Fr.Depth[S.Arg];
+    Fr.Active[S.Arg / 64] |= Mask;
+    const PolicySet *Offending = FusedPolicyAutomaton::offending(C);
+    return Offending && testBit(*Offending, S.Arg);
+  }
+  case HistoryStep::Close:
+    if (Fr.Depth[S.Arg] > 0 && --Fr.Depth[S.Arg] == 0)
+      Fr.Active[S.Arg / 64] &= ~Mask;
+    return false;
+  case HistoryStep::OpenUnknown:
+    return true;
+  }
+  return false;
+}
+
 /// Runs one session against a fused policy set.
 class SessionMonitor {
 public:
   explicit SessionMonitor(const FusedPolicyAutomaton &Fused)
-      : F(&Fused), Cur(Fused.start()), Active(Fused.setWords(), 0),
-        ActiveCounts(Fused.Policies.size(), 0) {}
+      : F(&Fused), Cur(Fused.start()), Frames(Fused) {}
 
   const FusedPolicyAutomaton &fused() const { return *F; }
   bool isViolated() const { return Violated; }
@@ -44,16 +148,15 @@ public:
       return false;
     if (Cur.At)
       if (const ProductState *N = Cur.At->next(Idx))
-        return !blocks(N->Offending);
+        return !Frames.blocks(N->Offending);
     FusedPolicyAutomaton::Cursor Next = Cur;
     F->step(Next, Idx);
-    return !blocks(FusedPolicyAutomaton::offending(Next));
+    return !Frames.blocks(FusedPolicyAutomaton::offending(Next));
   }
 
   /// Hot path: fires the event at index \p Idx unconditionally.
   void advanceEventIndex(uint32_t Idx) {
-    F->step(Cur, Idx);
-    if (blocks(FusedPolicyAutomaton::offending(Cur)))
+    if (takeStep(*F, Cur, Frames, {HistoryStep::Event, Idx}))
       Violated = true;
   }
 
@@ -61,78 +164,20 @@ public:
   bool wouldAdmit(const hist::Label &L) const {
     if (Violated)
       return false;
-    switch (L.kind()) {
-    case hist::LabelKind::Event: {
-      uint32_t Idx = F->eventIndexOf(L.asEvent());
-      // The universe must be closed (see Fused.h). An out-of-universe
-      // event is genuinely undecidable (wildcard/guard edges might
-      // match), so the defensive release behaviour is to admit it —
-      // blocking could be a wrong verdict, which the monitor must never
-      // give.
-      assert(Idx != FusedPolicyAutomaton::NoEvent &&
-             "event outside the fused universe");
-      return Idx == FusedPolicyAutomaton::NoEvent || admitsEventIndex(Idx);
-    }
-    case hist::LabelKind::FrameOpen: {
-      if (L.policy().isTrivial())
-        return true;
-      int Bit = F->policyBit(L.policy());
-      if (Bit < 0)
-        return false; // Uninstantiable: opening violates.
-      // History dependence: the history so far must already respect the
-      // newly-framed policy.
-      return !offendingNow(static_cast<unsigned>(Bit));
-    }
-    case hist::LabelKind::FrameClose:
-      return true;
-    default:
-      assert(L.isHistoryRelevant() && "monitor consumes events and framings");
-      return true;
-    }
+    HistoryStep S = resolveLabel(*F, L);
+    if (S.K == HistoryStep::Event)
+      return admitsEventIndex(S.Arg);
+    // Off the event hot path: take the step on copies.
+    FusedPolicyAutomaton::Cursor C = Cur;
+    FrameCounts Fr = Frames;
+    return !takeStep(*F, C, Fr, S);
   }
 
   /// Appends \p L; returns false when the session is (now) violated.
   /// Mirrors the per-policy probe's append — violations latch.
   bool advance(const hist::Label &L) {
-    switch (L.kind()) {
-    case hist::LabelKind::Event: {
-      uint32_t Idx = F->eventIndexOf(L.asEvent());
-      assert(Idx != FusedPolicyAutomaton::NoEvent &&
-             "event outside the fused universe");
-      if (Idx != FusedPolicyAutomaton::NoEvent)
-        advanceEventIndex(Idx);
-      break;
-    }
-    case hist::LabelKind::FrameOpen: {
-      if (L.policy().isTrivial())
-        break;
-      int Bit = F->policyBit(L.policy());
-      if (Bit < 0) {
-        Violated = true; // Uninstantiable policy: the framing cannot hold.
-        break;
-      }
-      auto B = static_cast<unsigned>(Bit);
-      ++ActiveCounts[B];
-      Active[B / 64] |= uint64_t(1) << (B % 64);
-      if (offendingNow(B))
-        Violated = true;
-      break;
-    }
-    case hist::LabelKind::FrameClose: {
-      if (L.policy().isTrivial())
-        break;
-      int Bit = F->policyBit(L.policy());
-      if (Bit < 0)
-        break;
-      auto B = static_cast<unsigned>(Bit);
-      if (ActiveCounts[B] > 0 && --ActiveCounts[B] == 0)
-        Active[B / 64] &= ~(uint64_t(1) << (B % 64));
-      break;
-    }
-    default:
-      assert(L.isHistoryRelevant() && "monitor consumes events and framings");
-      break;
-    }
+    if (takeStep(*F, Cur, Frames, resolveLabel(*F, L)))
+      Violated = true;
     return !Violated;
   }
 
@@ -149,24 +194,10 @@ public:
   }
 
 private:
-  /// True when \p Offending (null = none) contains an active policy.
-  bool blocks(const PolicySet *Offending) const {
-    return Offending && intersects(*Offending, Active);
-  }
-
-  /// True when policy \p Bit is offending at the current state.
-  bool offendingNow(unsigned Bit) const {
-    const PolicySet *Offending = FusedPolicyAutomaton::offending(Cur);
-    return Offending && testBit(*Offending, Bit);
-  }
-
   const FusedPolicyAutomaton *F;
   FusedPolicyAutomaton::Cursor Cur;
-  PolicySet Active;
+  FrameCounts Frames;
   bool Violated = false;
-  /// Frame-nesting depth per policy bit (⌊ϕ…⌊ϕ nests); only the derived
-  /// Active set is consulted on the event hot path.
-  std::vector<uint32_t> ActiveCounts;
 };
 
 } // namespace monitor

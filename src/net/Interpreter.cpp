@@ -4,30 +4,17 @@
 
 #include "hist/Derive.h"
 #include "hist/Printer.h"
-#include "policy/Compile.h"
 #include "support/Casting.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cassert>
-#include <set>
 
 using namespace sus;
 using namespace sus::hist;
 using namespace sus::net;
 
 namespace {
-
-/// Φ(H): pending ⌋ϕ markers along the sequential spine (rule Close).
-void pendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    pendingFrameCloses(S->head(), Out);
-    pendingFrameCloses(S->tail(), Out);
-    return;
-  }
-  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
-    Out.push_back(F->policy());
-}
 
 /// If E ≡ (⊕ᵢ āᵢ.Hᵢ)·K with more than one branch, returns the choice and
 /// the continuation K (unfolding a leading µ if needed).
@@ -54,29 +41,6 @@ splitMultiOutputHead(HistContext &Ctx, const Expr *E, unsigned Fuel = 8) {
   return std::nullopt;
 }
 
-/// Fuses every policy and event of the clients and of the services their
-/// plans can open: each label the network can append is then inside the
-/// fused universe, and no other service of the repository is walked.
-std::unique_ptr<const monitor::FusedPolicyAutomaton>
-fuseNetwork(const HistContext &Ctx, const plan::Repository &Repo,
-            const policy::PolicyRegistry &Registry,
-            const std::vector<NetworkComponent> &Comps) {
-  std::vector<const Expr *> Behaviors;
-  std::set<plan::Loc> Opened;
-  for (const NetworkComponent &C : Comps) {
-    Behaviors.push_back(C.Client);
-    for (const auto &[Request, L] : C.Pi.bindings())
-      if (Opened.insert(L).second)
-        if (const Expr *Service = Repo.find(L))
-          Behaviors.push_back(Service);
-  }
-  return std::make_unique<const monitor::FusedPolicyAutomaton>(
-      monitor::fusePolicies(Registry, Ctx.interner(),
-                            monitor::collectPolicyRefs(Behaviors),
-                            policy::eventUniverse(Behaviors))
-          .takeValue());
-}
-
 } // namespace
 
 Interpreter::Interpreter(HistContext &Ctx, const plan::Repository &Repo,
@@ -95,7 +59,18 @@ monitor::SessionMonitor &Interpreter::monitorOf(size_t Component) {
   // never walks its behaviours, and at that point every history is still
   // empty, so every monitor starts at the fusion's start state.
   if (!Fused) {
-    Fused = fuseNetwork(Ctx, Repo, Registry, Components);
+    // The clients and the services their plans bind — the only ones an
+    // Open step can start — so the universe is closed and no other
+    // service of the repository is walked.
+    std::vector<const Expr *> Behaviors;
+    for (const NetworkComponent &C : Components) {
+      Behaviors.push_back(C.Client);
+      for (const auto &[Request, L] : C.Pi.bindings())
+        if (const Expr *Service = Repo.find(L))
+          Behaviors.push_back(Service);
+    }
+    Fused = std::make_unique<const monitor::FusedPolicyAutomaton>(
+        monitor::fuseBehaviors(Registry, Ctx.interner(), Behaviors));
     Monitors.assign(Components.size(), monitor::SessionMonitor(*Fused));
   }
   return Monitors[Component];

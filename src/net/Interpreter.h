@@ -166,7 +166,6 @@ private:
   Session *resolve(size_t Component, const std::vector<bool> &Path);
   void stepsOf(size_t Component, Session *Node, std::vector<bool> &Path,
                std::vector<Step> &Out);
-  void finalizeHistoryLabels(size_t Component, Step &S);
   monitor::SessionMonitor &monitorOf(size_t Component);
 
   hist::HistContext &Ctx;

@@ -2,7 +2,6 @@
 
 #include "policy/History.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace sus;
@@ -70,17 +69,6 @@ std::map<PolicyRef, unsigned> History::activePolicies() const {
     }
   }
   return Active;
-}
-
-std::vector<PolicyRef> History::mentionedPolicies() const {
-  std::vector<PolicyRef> Result;
-  for (const Label &L : Items) {
-    if (!L.isFraming())
-      continue;
-    if (std::find(Result.begin(), Result.end(), L.policy()) == Result.end())
-      Result.push_back(L.policy());
-  }
-  return Result;
 }
 
 std::string History::str(const StringInterner &Interner) const {

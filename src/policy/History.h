@@ -56,9 +56,6 @@ public:
   /// AP(η) — the multiset of active (opened, not yet closed) policies.
   std::map<hist::PolicyRef, unsigned> activePolicies() const;
 
-  /// Every distinct policy mentioned by a framing in the history.
-  std::vector<hist::PolicyRef> mentionedPolicies() const;
-
   /// Renders the history, e.g. "[phi alpha_sgn(3) phi]".
   std::string str(const StringInterner &Interner) const;
 

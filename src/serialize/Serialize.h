@@ -45,12 +45,12 @@ namespace sus {
 namespace serialize {
 
 /// Bumped on any incompatible layout change; loaders reject mismatches.
-constexpr uint32_t FormatVersion = 2;
+constexpr uint32_t FormatVersion = 3;
 
 /// The 8-byte magic prefix of every snapshot.
 constexpr char Magic[8] = {'S', 'U', 'S', 'S', 'N', 'A', 'P', '\0'};
 
-/// Section tags of the v2 container. Tags are part of the format: a
+/// Section tags of the container. Tags are part of the format: a
 /// reader encountering any other tag fails (strictness contract above).
 enum class SectionTag : uint32_t {
   Strings = 1,     ///< Snapshot-local string table.

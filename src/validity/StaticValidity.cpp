@@ -6,18 +6,21 @@
 #include "support/Trace.h"
 
 #include "hist/Derive.h"
-#include "support/Casting.h"
+#include "monitor/SessionMonitor.h"
 #include "support/HashUtil.h"
 #include "validity/FrameRegularize.h"
 
 #include <cassert>
-#include <deque>
-#include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace sus;
 using namespace sus::hist;
 using namespace sus::validity;
+
+using monitor::FrameCounts;
+using monitor::FusedPolicyAutomaton;
+using monitor::HistoryStep;
 
 namespace {
 
@@ -39,94 +42,84 @@ struct SessionNode {
 class TreeFactory {
 public:
   const SessionNode *leaf(plan::Loc L, const Expr *H) {
-    std::vector<uint64_t> Key = {1, L.id(), reinterpret_cast<uint64_t>(H)};
-    return intern(Key, SessionNode{true, L, H, nullptr, nullptr});
+    return intern({true, L.id(), reinterpret_cast<uintptr_t>(H)},
+                  SessionNode{true, L, H, nullptr, nullptr});
   }
 
   const SessionNode *pair(const SessionNode *A, const SessionNode *B) {
-    std::vector<uint64_t> Key = {2, reinterpret_cast<uint64_t>(A),
-                                 reinterpret_cast<uint64_t>(B)};
-    return intern(Key, SessionNode{false, plan::Loc(), nullptr, A, B});
+    return intern({false, reinterpret_cast<uintptr_t>(A),
+                   reinterpret_cast<uintptr_t>(B)},
+                  SessionNode{false, plan::Loc(), nullptr, A, B});
   }
 
 private:
-  const SessionNode *intern(const std::vector<uint64_t> &Key,
-                            SessionNode Node) {
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
-    Storage.push_back(Node);
-    const SessionNode *P = &Storage.back();
-    Unique.emplace(Key, P);
-    return P;
-  }
-
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
+  /// (location, behaviour) of a leaf or (left, right) of a pair.
+  struct Key {
+    bool IsLeaf;
+    uintptr_t First, Second;
+    bool operator==(const Key &) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const noexcept {
+      return hashAll(K.IsLeaf, K.First, K.Second);
     }
   };
 
-  std::deque<SessionNode> Storage;
-  std::unordered_map<std::vector<uint64_t>, const SessionNode *, VecHash>
-      Unique;
+  const SessionNode *intern(const Key &K, SessionNode Node) {
+    // Map nodes never move, so a tree's pointer is stable.
+    return &Unique.try_emplace(K, Node).first->second;
+  }
+
+  std::unordered_map<Key, SessionNode, KeyHash> Unique;
 };
 
-/// Φ(H): the sequence of ⌋ϕ markers along the sequential spine of H (the
-/// auxiliary function of rule Close).
-void collectPendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    collectPendingFrameCloses(S->head(), Out);
-    collectPendingFrameCloses(S->tail(), Out);
-    return;
-  }
-  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
-    Out.push_back(F->policy());
-}
-
 //===----------------------------------------------------------------------===//
-// Monitors
+// Configurations
 //===----------------------------------------------------------------------===//
 
-/// One tracked policy instance: reachable automaton states + activation
-/// count. Both are part of the explored state.
-struct MonitorSlot {
-  std::vector<policy::UStateId> States;
-  unsigned Active = 0;
-
-  bool operator==(const MonitorSlot &O) const {
-    return Active == O.Active && States == O.States;
-  }
-};
-
-struct ExplState {
+/// A configuration of the composed service: its session tree, where the
+/// fused policy DFA stands on the history so far, and how deep each policy
+/// is framed. All three are interned, so a configuration is three words.
+struct Config {
   const SessionNode *Tree;
-  std::vector<MonitorSlot> Monitors;
+  const monitor::ProductState *Monitor;
+  const FrameCounts *Frames;
+  bool operator==(const Config &) const = default;
 };
 
-std::vector<uint64_t> encodeState(const ExplState &S) {
-  std::vector<uint64_t> Key;
-  Key.push_back(reinterpret_cast<uint64_t>(S.Tree));
-  for (const MonitorSlot &M : S.Monitors) {
-    Key.push_back(M.Active);
-    Key.push_back(M.States.size());
-    for (policy::UStateId Q : M.States)
-      Key.push_back(Q);
+struct ConfigHash {
+  size_t operator()(const Config &C) const noexcept {
+    return hashAll(C.Tree, C.Monitor, C.Frames);
   }
-  return Key;
-}
+};
+
+struct FrameCountsHash {
+  size_t operator()(const FrameCounts &F) const noexcept {
+    size_t Seed = F.Depth.size();
+    for (uint32_t D : F.Depth)
+      hashCombineValue(Seed, D);
+    return Seed;
+  }
+};
 
 /// One atomic move of the composed service.
 struct Move {
   const SessionNode *NewTree = nullptr;
-  std::vector<Label> HistoryAppend; ///< Ev/Frm labels this move logs.
-  std::string Desc;                 ///< Rendered label for traces.
-  // Failure moves (plan gaps) abort exploration immediately.
+  /// The history steps this move logs: Checker::Steps[Begin, End).
+  uint32_t Begin = 0, End = 0;
+  /// The label a trace shows for the move; for a synchronisation, the
+  /// sender's output, shown as tau(ā).
+  const Label *Shown = nullptr;
+  bool Synch = false;
+  /// Failure moves (plan gaps) abort exploration immediately.
   PlanFailureKind Gap = PlanFailureKind::None;
-  RequestId GapRequest = 0;
+};
+
+/// How a configuration was first reached: the predecessor and the move.
+struct Pred {
+  uint32_t From = 0;
+  const Label *Shown = nullptr; ///< Null for the initial configuration.
+  bool Synch = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -143,24 +136,51 @@ public:
   StaticValidityResult run(const Expr *Client, plan::Loc ClientLoc);
 
 private:
+  /// Fuses the policies and events of the client and its planned services
+  /// and orders the fused policies by first mention; returns false on an
+  /// uninstantiable reference.
+  bool fuse(const Expr *Client, StaticValidityResult &Result);
+
   /// Enumerates the moves of \p Node (rule Session lifts moves of inner
   /// sessions; Synch and Close apply at pairs).
   void movesOf(const SessionNode *Node, std::vector<Move> &Out);
 
-  /// Collects every policy reference in the client and the planned
-  /// services; returns false on an uninstantiable one.
-  bool collectPolicies(const Expr *Client, StaticValidityResult &Result);
+  /// Starts a move to \p Tree shown as \p Shown; its steps follow.
+  Move &addMove(std::vector<Move> &Out, const SessionNode *Tree,
+                const Label &Shown) {
+    auto At = static_cast<uint32_t>(Steps.size());
+    Out.push_back({Tree, At, At, &Shown});
+    return Out.back();
+  }
 
-  void collectPolicyRefs(const Expr *E, std::vector<PolicyRef> &Out);
+  /// Logs \p S as the next history step of \p M, the newest move.
+  void log(Move &M, HistoryStep S) {
+    if (S.K == HistoryStep::Skip)
+      return;
+    Steps.push_back(S);
+    M.End = static_cast<uint32_t>(Steps.size());
+  }
 
-  int slotIndex(const PolicyRef &Ref) const;
+  /// The policy a violating step \p S names: ϕ for ⌊ϕ; for an event, of
+  /// the active policies offending after it, the one mentioned first.
+  const PolicyRef &violatedPolicy(HistoryStep S,
+                                  const FusedPolicyAutomaton::Cursor &C,
+                                  const FrameCounts &Fr) const;
 
-  /// Applies the history labels of \p M to \p Monitors; returns the index
-  /// of a violated policy slot or -1.
-  int applyLabels(const Move &M, std::vector<MonitorSlot> &Monitors) const;
+  const std::vector<Transition> &derivatives(const Expr *E) {
+    auto It = Derived.find(E);
+    if (It == Derived.end())
+      It = Derived.emplace(E, derive(Ctx, E)).first;
+    return It->second;
+  }
 
-  const Expr *maybeRegularize(const Expr *E) {
-    return Options.Regularize ? regularizeFramings(Ctx, E) : E;
+  const Expr *regularized(const Expr *E) {
+    if (!Options.Regularize)
+      return E;
+    auto It = Regularized.find(E);
+    if (It == Regularized.end())
+      It = Regularized.emplace(E, regularizeFramings(Ctx, E)).first;
+    return It->second;
   }
 
   HistContext &Ctx;
@@ -169,142 +189,96 @@ private:
   const policy::PolicyRegistry &Registry;
   const StaticValidityOptions &Options;
 
+  FusedPolicyAutomaton Fused;
+  /// The fused policies' bits in order of first mention — the client's
+  /// references depth first, then each planned service's in binding order.
+  std::vector<unsigned> MentionOrder;
+
   TreeFactory Trees;
-  std::vector<PolicyRef> SlotRefs;
-  std::vector<policy::PolicyInstance> SlotInstances;
+  /// The history steps of the moves being enumerated.
+  std::vector<HistoryStep> Steps;
+  /// Φ(H) of the partner a Close move ends.
+  std::vector<PolicyRef> Pending;
+  /// Derivatives are stable references: map nodes never move.
+  std::unordered_map<const Expr *, std::vector<Transition>> Derived;
+  std::unordered_map<const Expr *, const Expr *> Regularized;
 };
 
-void Checker::collectPolicyRefs(const Expr *E, std::vector<PolicyRef> &Out) {
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Event:
-    return;
-  case ExprKind::Mu:
-    collectPolicyRefs(cast<MuExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collectPolicyRefs(S->head(), Out);
-    collectPolicyRefs(S->tail(), Out);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectPolicyRefs(B.Body, Out);
-    return;
-  case ExprKind::Request: {
-    const auto *R = cast<RequestExpr>(E);
-    Out.push_back(R->policy());
-    collectPolicyRefs(R->body(), Out);
-    return;
-  }
-  case ExprKind::Framing: {
-    const auto *F = cast<FramingExpr>(E);
-    Out.push_back(F->policy());
-    collectPolicyRefs(F->body(), Out);
-    return;
-  }
-  case ExprKind::CloseMark:
-    Out.push_back(cast<CloseMarkExpr>(E)->policy());
-    return;
-  case ExprKind::FrameOpen:
-    Out.push_back(cast<FrameOpenExpr>(E)->policy());
-    return;
-  case ExprKind::FrameClose:
-    Out.push_back(cast<FrameCloseExpr>(E)->policy());
-    return;
-  }
-}
-
-bool Checker::collectPolicies(const Expr *Client,
-                              StaticValidityResult &Result) {
-  std::vector<PolicyRef> Refs;
-  collectPolicyRefs(Client, Refs);
+bool Checker::fuse(const Expr *Client, StaticValidityResult &Result) {
+  std::vector<const Expr *> Behaviors = {Client};
   for (const auto &[R, L] : P.bindings()) {
     (void)R;
     if (const Expr *Service = Repo.find(L))
-      collectPolicyRefs(Service, Refs);
+      Behaviors.push_back(Service);
   }
+  Fused = monitor::fuseBehaviors(Registry, Ctx.interner(), Behaviors);
+
+  std::vector<PolicyRef> Refs;
+  for (const Expr *B : Behaviors)
+    monitor::appendPolicyRefs(B, Refs);
+  std::vector<bool> Ordered(Fused.Policies.size(), false);
   for (const PolicyRef &Ref : Refs) {
-    if (Ref.isTrivial() || slotIndex(Ref) >= 0)
-      continue;
-    std::optional<policy::PolicyInstance> Inst =
-        Registry.instantiate(Ref, Ctx.interner(), nullptr);
-    if (!Inst) {
+    // The fusion leaves out exactly the references it cannot instantiate.
+    int Bit = Fused.policyBit(Ref);
+    if (Bit < 0) {
       Result.Valid = false;
       Result.Failure = PlanFailureKind::UnknownPolicy;
       Result.Policy = Ref;
       return false;
     }
-    SlotRefs.push_back(Ref);
-    SlotInstances.push_back(std::move(*Inst));
+    if (!Ordered[Bit]) {
+      Ordered[Bit] = true;
+      MentionOrder.push_back(static_cast<unsigned>(Bit));
+    }
   }
   return true;
 }
 
-int Checker::slotIndex(const PolicyRef &Ref) const {
-  for (size_t I = 0; I < SlotRefs.size(); ++I)
-    if (SlotRefs[I] == Ref)
-      return static_cast<int>(I);
-  return -1;
+const PolicyRef &
+Checker::violatedPolicy(HistoryStep S, const FusedPolicyAutomaton::Cursor &C,
+                        const FrameCounts &Fr) const {
+  if (S.K == HistoryStep::Open)
+    return Fused.Policies[S.Arg];
+  assert(S.K == HistoryStep::Event && "only events and opens violate here");
+  const monitor::PolicySet &Offending = *FusedPolicyAutomaton::offending(C);
+  for (unsigned Bit : MentionOrder)
+    if (monitor::testBit(Offending, Bit) && monitor::testBit(Fr.Active, Bit))
+      return Fused.Policies[Bit];
+  assert(false && "a violating event offends an active policy");
+  return Fused.Policies.front();
 }
 
 void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
   if (Node->IsLeaf) {
-    for (const Transition &T : derive(Ctx, Node->Behavior)) {
+    for (const Transition &T : derivatives(Node->Behavior)) {
       switch (T.L.kind()) {
       case LabelKind::Event:
       case LabelKind::FrameOpen:
       case LabelKind::FrameClose: {
-        Move M;
-        M.NewTree = Trees.leaf(Node->Location, T.Target);
-        M.HistoryAppend.push_back(T.L);
-        M.Desc = T.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
+        Move &M = addMove(Out, Trees.leaf(Node->Location, T.Target), T.L);
+        log(M, monitor::resolveLabel(Fused, T.L));
         break;
       }
       case LabelKind::Open: {
         // Rule Open: bind r through π, spawn the service alongside.
-        RequestId R = T.L.request();
-        std::optional<plan::Loc> L = P.lookup(R);
-        if (!L) {
-          Move M;
-          M.Gap = PlanFailureKind::UnboundRequest;
-          M.GapRequest = R;
-          M.Desc = T.L.str(Ctx.interner());
-          Out.push_back(std::move(M));
-          break;
-        }
-        const Expr *Service = Repo.find(*L);
+        std::optional<plan::Loc> L = P.lookup(T.L.request());
+        const Expr *Service = L ? Repo.find(*L) : nullptr;
         if (!Service) {
-          Move M;
-          M.Gap = PlanFailureKind::UnknownService;
-          M.GapRequest = R;
-          M.Desc = T.L.str(Ctx.interner());
-          Out.push_back(std::move(M));
+          addMove(Out, nullptr, T.L).Gap = L ? PlanFailureKind::UnknownService
+                                             : PlanFailureKind::UnboundRequest;
           break;
         }
-        Move M;
-        M.NewTree =
-            Trees.pair(Trees.leaf(Node->Location, T.Target),
-                       Trees.leaf(*L, maybeRegularize(Service)));
-        if (!T.L.policy().isTrivial())
-          M.HistoryAppend.push_back(Label::frameOpen(T.L.policy()));
-        M.Desc = T.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
+        Move &M = addMove(Out,
+                          Trees.pair(Trees.leaf(Node->Location, T.Target),
+                                     Trees.leaf(*L, regularized(Service))),
+                          T.L);
+        log(M, monitor::frameStep(Fused, T.L.policy(), /*Open=*/true));
         break;
       }
-      case LabelKind::Close:
-        // A close with no enclosing session: impossible for expressions
-        // built from requests (close marks appear only after an Open).
-        break;
-      case LabelKind::Input:
-      case LabelKind::Output:
-        // Communication needs a session partner; handled at the pair.
-        break;
-      case LabelKind::Tau:
+      default:
+        // Communication needs a session partner and a close an enclosing
+        // session (close marks appear only after an Open): both are
+        // handled at the pair. τ logs nothing.
         break;
       }
     }
@@ -312,18 +286,16 @@ void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
   }
 
   // Rule Session: either side evolves on its own.
-  std::vector<Move> LeftMoves, RightMoves;
-  movesOf(Node->Left, LeftMoves);
-  movesOf(Node->Right, RightMoves);
-  for (Move &M : LeftMoves) {
-    if (M.Gap == PlanFailureKind::None)
-      M.NewTree = Trees.pair(M.NewTree, Node->Right);
-    Out.push_back(std::move(M));
-  }
-  for (Move &M : RightMoves) {
-    if (M.Gap == PlanFailureKind::None)
-      M.NewTree = Trees.pair(Node->Left, M.NewTree);
-    Out.push_back(std::move(M));
+  size_t LeftBegin = Out.size();
+  movesOf(Node->Left, Out);
+  size_t RightBegin = Out.size();
+  movesOf(Node->Right, Out);
+  for (size_t I = LeftBegin; I != Out.size(); ++I) {
+    Move &M = Out[I];
+    if (M.Gap != PlanFailureKind::None)
+      continue;
+    M.NewTree = I < RightBegin ? Trees.pair(M.NewTree, Node->Right)
+                               : Trees.pair(Node->Left, M.NewTree);
   }
 
   // Rules Synch and Close need both sides to be leaves (a partner engaged
@@ -334,41 +306,34 @@ void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
   auto TrySynchAndClose = [&](const SessionNode *X, const SessionNode *Y) {
     if (!X->IsLeaf)
       return;
-    for (const Transition &TX : derive(Ctx, X->Behavior)) {
+    for (const Transition &TX : derivatives(X->Behavior)) {
       // Rule Close: the opener ends the session; the partner (which must
       // be a plain leaf) is terminated and its pending frame closes are
       // flushed into the history.
       if (TX.L.isClose() && Y->IsLeaf) {
-        Move M;
-        M.NewTree = Trees.leaf(X->Location, TX.Target);
-        std::vector<PolicyRef> Pending;
-        collectPendingFrameCloses(Y->Behavior, Pending);
+        Move &M = addMove(Out, Trees.leaf(X->Location, TX.Target), TX.L);
+        Pending.clear();
+        pendingFrameCloses(Y->Behavior, Pending);
         for (const PolicyRef &Ref : Pending)
-          if (!Ref.isTrivial())
-            M.HistoryAppend.push_back(Label::frameClose(Ref));
-        if (!TX.L.policy().isTrivial())
-          M.HistoryAppend.push_back(Label::frameClose(TX.L.policy()));
-        M.Desc = TX.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
+          log(M, monitor::frameStep(Fused, Ref, /*Open=*/false));
+        log(M, monitor::frameStep(Fused, TX.L.policy(), /*Open=*/false));
         continue;
       }
       // Rule Synch: complementary actions meet.
       if (!TX.L.isComm() || !Y->IsLeaf)
         continue;
       CommAction AX = TX.L.asComm();
-      for (const Transition &TY : derive(Ctx, Y->Behavior)) {
+      // Emit the synchronization once, from the sender's side.
+      if (!AX.isOutput())
+        continue;
+      for (const Transition &TY : derivatives(Y->Behavior)) {
         if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
           continue;
-        // Emit the synchronization once, from the sender's side.
-        if (!AX.isOutput())
-          continue;
-        Move M;
         const SessionNode *NX = Trees.leaf(X->Location, TX.Target);
         const SessionNode *NY = Trees.leaf(Y->Location, TY.Target);
-        M.NewTree = (X == Node->Left) ? Trees.pair(NX, NY)
-                                      : Trees.pair(NY, NX);
-        M.Desc = "tau(" + AX.str(Ctx.interner()) + ")";
-        Out.push_back(std::move(M));
+        addMove(Out, X == Node->Left ? Trees.pair(NX, NY) : Trees.pair(NY, NX),
+                TX.L)
+            .Synch = true;
       }
     }
   };
@@ -376,132 +341,76 @@ void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
   TrySynchAndClose(B, A);
 }
 
-int Checker::applyLabels(const Move &M,
-                         std::vector<MonitorSlot> &Monitors) const {
-  for (const Label &L : M.HistoryAppend) {
-    switch (L.kind()) {
-    case LabelKind::Event: {
-      // All monitors consume every event (history dependence).
-      for (size_t I = 0; I < Monitors.size(); ++I) {
-        MonitorSlot &Slot = Monitors[I];
-        std::vector<policy::UStateId> Next;
-        for (policy::UStateId Q : Slot.States)
-          for (policy::UStateId T : SlotInstances[I].step(Q, L.asEvent()))
-            Next.push_back(T);
-        std::sort(Next.begin(), Next.end());
-        Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
-        Slot.States = std::move(Next);
-      }
-      for (size_t I = 0; I < Monitors.size(); ++I) {
-        if (Monitors[I].Active == 0)
-          continue;
-        for (policy::UStateId Q : Monitors[I].States)
-          if (SlotInstances[I].shape().isOffending(Q))
-            return static_cast<int>(I);
-      }
-      break;
-    }
-    case LabelKind::FrameOpen: {
-      int I = slotIndex(L.policy());
-      assert(I >= 0 && "policies were collected up front");
-      ++Monitors[I].Active;
-      // History dependence: the past must already respect the policy.
-      for (policy::UStateId Q : Monitors[I].States)
-        if (SlotInstances[I].shape().isOffending(Q))
-          return I;
-      break;
-    }
-    case LabelKind::FrameClose: {
-      int I = slotIndex(L.policy());
-      assert(I >= 0 && "policies were collected up front");
-      if (Monitors[I].Active > 0)
-        --Monitors[I].Active;
-      break;
-    }
-    default:
-      assert(false && "history labels are events and framings");
-    }
-  }
-  return -1;
-}
-
 StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
   StaticValidityResult Result;
-  if (!collectPolicies(Client, Result))
+  if (!fuse(Client, Result))
     return Result;
+  // Configurations never outnumber MaxStates, so unless some successor
+  // was already refused (StateSpaceExceeded), every product state the
+  // exploration reaches fits in the fusion's table.
+  assert(Options.MaxStates <= monitor::MaxTableStates &&
+         "the product table must hold every explored configuration");
 
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
-
-  std::vector<ExplState> States;
-  std::vector<std::optional<std::pair<uint32_t, std::string>>> Pred;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, VecHash> Index;
-  std::deque<uint32_t> Work;
+  std::vector<Config> States;
+  std::vector<Pred> Preds;
+  std::unordered_map<Config, uint32_t, ConfigHash> Index;
+  std::unordered_set<FrameCounts, FrameCountsHash> FrameSets;
 
   std::optional<sus::ResourceExhausted> Trip;
-  auto Intern = [&](ExplState S,
-                    std::optional<std::pair<uint32_t, std::string>> From)
-      -> std::optional<uint32_t> {
-    std::vector<uint64_t> Key = encodeState(S);
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      return It->second;
+  auto Intern = [&](const Config &C, Pred From) -> bool {
+    if (Index.count(C))
+      return true;
     if (States.size() >= Options.MaxStates)
-      return std::nullopt;
+      return false;
     if (Options.Governor) {
       if (std::optional<sus::ResourceExhausted> E = Options.Governor->charge(
               ResourceKind::ProductStates, States.size() + 1)) {
         Trip = E;
-        return std::nullopt;
+        return false;
       }
     }
-    uint32_t I = static_cast<uint32_t>(States.size());
-    States.push_back(std::move(S));
-    Pred.push_back(std::move(From));
-    Index.emplace(std::move(Key), I);
-    Work.push_back(I);
-    return I;
+    Index.emplace(C, static_cast<uint32_t>(States.size()));
+    States.push_back(C);
+    Preds.push_back(From);
+    return true;
   };
 
-  auto TraceTo = [&](uint32_t I, const std::string &Last) {
+  auto Show = [&](const Label &L, bool Synch) {
+    return Synch ? "tau(" + L.asComm().str(Ctx.interner()) + ")"
+                 : L.str(Ctx.interner());
+  };
+  auto TraceTo = [&](uint32_t I, const Move &Last) {
     std::vector<std::string> Trace;
-    Trace.push_back(Last);
-    for (uint32_t S = I; Pred[S]; S = Pred[S]->first)
-      Trace.push_back(Pred[S]->second);
+    Trace.push_back(Show(*Last.Shown, Last.Synch));
+    for (uint32_t S = I; Preds[S].Shown; S = Preds[S].From)
+      Trace.push_back(Show(*Preds[S].Shown, Preds[S].Synch));
     std::reverse(Trace.begin(), Trace.end());
     return Trace;
   };
 
-  ExplState Init;
-  Init.Tree = Trees.leaf(ClientLoc, maybeRegularize(Client));
-  Init.Monitors.resize(SlotInstances.size());
-  for (size_t I = 0; I < SlotInstances.size(); ++I)
-    Init.Monitors[I].States = {SlotInstances[I].shape().start()};
-  Intern(std::move(Init), std::nullopt);
+  const FrameCounts *NoFrames = &*FrameSets.emplace(Fused).first;
+  Intern({Trees.leaf(ClientLoc, regularized(Client)), Fused.start().At,
+          NoFrames},
+         Pred());
 
   bool Exceeded = false;
-  while (!Work.empty()) {
+  std::vector<Move> Moves;
+  FrameCounts Frames(Fused);
+  // Breadth first: configurations are explored in the order interned.
+  for (uint32_t I = 0; I != States.size(); ++I) {
     if (Options.Governor && !Trip) {
       if (std::optional<sus::ResourceExhausted> E = Options.Governor->poll())
         Trip = E;
     }
     if (Trip)
       break;
-    uint32_t I = Work.front();
-    Work.pop_front();
-    // Note: States may reallocate inside the loop; copy what we need.
-    const SessionNode *Tree = States[I].Tree;
+    const Config From = States[I];
 
-    std::vector<Move> Moves;
-    movesOf(Tree, Moves);
+    Moves.clear();
+    Steps.clear();
+    movesOf(From.Tree, Moves);
 
-    bool Terminated = Tree->IsLeaf && Tree->Behavior->isEmpty();
+    bool Terminated = From.Tree->IsLeaf && From.Tree->Behavior->isEmpty();
     if (Moves.empty() && !Terminated)
       Result.HasStuckConfiguration = true;
 
@@ -509,24 +418,33 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
       if (M.Gap != PlanFailureKind::None) {
         Result.Valid = false;
         Result.Failure = M.Gap;
-        Result.Request = M.GapRequest;
-        Result.Trace = TraceTo(I, M.Desc);
+        Result.Request = M.Shown->request();
+        Result.Trace = TraceTo(I, M);
         Result.ExploredStates = States.size();
         return Result;
       }
-      ExplState Next;
-      Next.Tree = M.NewTree;
-      Next.Monitors = States[I].Monitors;
-      int Violated = applyLabels(M, Next.Monitors);
-      if (Violated >= 0) {
-        Result.Valid = false;
-        Result.Failure = PlanFailureKind::PolicyViolation;
-        Result.Policy = SlotRefs[Violated];
-        Result.Trace = TraceTo(I, M.Desc);
-        Result.ExploredStates = States.size();
-        return Result;
+      FusedPolicyAutomaton::Cursor C;
+      C.At = From.Monitor;
+      const FrameCounts *Next = From.Frames;
+      if (M.Begin != M.End) {
+        Frames = *From.Frames;
+        bool Framed = false;
+        for (uint32_t K = M.Begin; K != M.End; ++K) {
+          Framed |= Steps[K].K != HistoryStep::Event;
+          if (monitor::takeStep(Fused, C, Frames, Steps[K])) {
+            Result.Valid = false;
+            Result.Failure = PlanFailureKind::PolicyViolation;
+            Result.Policy = violatedPolicy(Steps[K], C, Frames);
+            Result.Trace = TraceTo(I, M);
+            Result.ExploredStates = States.size();
+            return Result;
+          }
+        }
+        if (Framed)
+          Next = &*FrameSets.insert(Frames).first;
       }
-      if (!Intern(std::move(Next), std::make_pair(I, M.Desc)))
+      // Off the table only once a successor was refused already.
+      if (!C.At || !Intern({M.NewTree, C.At, Next}, {I, M.Shown, M.Synch}))
         Exceeded = true;
     }
   }
@@ -564,6 +482,7 @@ StaticValidityResult sus::validity::checkPlanValidity(
                              : "budget_exceeded");
   else
     Span.tag("verdict", Result.Valid ? "valid" : "invalid");
+  Span.count("states", static_cast<int64_t>(Result.ExploredStates));
   static metrics::Counter &Checks = metrics::counter("validity.checks");
   Checks.add();
   return Result;

@@ -9,6 +9,13 @@
 /// reachable step violates an active policy — then the run-time monitor can
 /// be switched off.
 ///
+/// The policy monitor is the runtime one (monitor/SessionMonitor.h): the
+/// policies and events of the client and its planned services are fused
+/// into one lazily built product DFA, and a configuration is three
+/// interned words — the session tree, the product state and the
+/// per-policy frame counts — stepped by the shared §3.1 rules. Labels are
+/// rendered only along a failure's witness path.
+///
 /// Because expressions are guarded/tail-recursive and hash-consed, and
 /// policy monitors are finite automata, the composed state space is finite:
 /// this is the "standard model checking through specially-tailored finite
@@ -58,7 +65,9 @@ struct StaticValidityResult {
   /// failure (rendered labels; τ steps shown as "tau").
   std::vector<std::string> Trace;
 
-  /// Exploration size (for the B2/B3 benchmarks).
+  /// Exploration size (for the B2/B3 benchmarks): configurations
+  /// interned, counting configurations whose policy states the minimized
+  /// fused DFA identifies only once.
   size_t ExploredStates = 0;
 
   /// For Failure == ResourceExhausted: what ran out. Results carrying
@@ -75,6 +84,8 @@ struct StaticValidityResult {
 
 /// Tuning knobs.
 struct StaticValidityOptions {
+  /// At most monitor::MaxTableStates, so that every product state the
+  /// exploration reaches is tabled.
   size_t MaxStates = 1 << 18;
   /// Apply regularizeFramings() to every expression first.
   bool Regularize = true;

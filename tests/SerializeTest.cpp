@@ -130,11 +130,20 @@ TEST(SectionContainer, RejectsBadMagic) {
 }
 
 TEST(SectionContainer, RejectsWrongVersionNamingBothVersions) {
-  std::string B = twoSectionSnapshot();
-  B[8] = static_cast<char>(FormatVersion + 1); // Version u32 little-endian.
-  SectionReader R(B);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.error().find("version"), std::string::npos) << R.error();
+  // A newer writer's blob, and one an older build (before ExploredStates
+  // counted fused-monitor configurations) left on disk.
+  for (uint32_t Version : {FormatVersion + 1, FormatVersion - 1}) {
+    std::string B = twoSectionSnapshot();
+    B[8] = static_cast<char>(Version); // Version u32 little-endian.
+    SectionReader R(B);
+    ASSERT_FALSE(R.ok());
+    EXPECT_NE(R.error().find("version " + std::to_string(Version)),
+              std::string::npos)
+        << R.error();
+    EXPECT_NE(R.error().find("version " + std::to_string(FormatVersion)),
+              std::string::npos)
+        << R.error();
+  }
 }
 
 TEST(SectionContainer, RejectsEveryTruncation) {

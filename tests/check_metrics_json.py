@@ -9,7 +9,11 @@ Runs the shipped example through susc five ways and asserts:
      (the normative sus-metrics-v1 schema), and the verify run counts
      `plan.index.lookups` (the index is the only enumeration);
   2. `--trace-out` emits well-formed Chrome trace_event JSON;
-  3. both also work through the `susc lint` subcommand;
+  3. both also work through the `susc lint` subcommand, whose trace holds
+     one `lint.pass` span, tagged with the pass id, per enabled pass (a
+     pass switched off with `--disable` has none), and every
+     `validity.static` span of the verify trace counts its explored
+     states;
   4. stdout/stderr and the exit code are bit-for-bit identical with and
      without the observability flags (the instrumentation may never
      change a verdict);
@@ -106,6 +110,42 @@ def check_trace(path):
     return len(events)
 
 
+def check_lint_pass_spans(susc, trace_path, disabled=None):
+    """Every pass `susc lint --list-passes` names, minus `disabled`, must
+    have exactly one `lint.pass` span in the trace; `disabled` none."""
+    listing = run([susc, "lint", "--list-passes"])
+    if listing.returncode != 0:
+        fail(f"susc lint --list-passes failed: exit {listing.returncode}")
+    passes = [line.split()[0] for line in listing.stdout.splitlines()
+              if line.strip()]
+    if not passes:
+        fail("susc lint --list-passes listed no passes")
+    events = json.loads(Path(trace_path).read_text())["traceEvents"]
+    seen = [ev.get("args", {}).get("pass") for ev in events
+            if ev["name"] == "lint.pass"]
+    for pass_id in passes:
+        want = 0 if pass_id == disabled else 1
+        if seen.count(pass_id) != want:
+            fail(f"lint trace has {seen.count(pass_id)} lint.pass span(s) "
+                 f"for {pass_id}, expected {want}")
+    if len(seen) != len(passes) - (1 if disabled else 0):
+        fail(f"lint trace has {len(seen)} lint.pass spans for "
+             f"{len(passes)} passes ({disabled or 'none'} disabled)")
+
+
+def check_validity_spans(trace_path):
+    """Every `validity.static` span records how many configurations the
+    check explored (at least the initial one)."""
+    events = json.loads(Path(trace_path).read_text())["traceEvents"]
+    checks = [ev for ev in events if ev["name"] == "validity.static"]
+    if not checks:
+        fail("verify trace has no validity.static span")
+    for ev in checks:
+        if ev.get("args", {}).get("states", 0) < 1:
+            fail(f"validity.static span without an explored-state count: "
+                 f"{ev}")
+
+
 def check_bench_monitor(bench, schema, tmp):
     """The monitor leg: bench_monitor --quick must emit valid metrics
     that show the fused path actually ran."""
@@ -188,6 +228,7 @@ def main():
         if verify_metrics["counters"].get("plan.index.lookups", 0) <= 0:
             fail("susc FILE performed no plan.index.lookups")
         n_events = check_trace(trace)
+        check_validity_spans(trace)
 
         # The lint subcommand honours the same flags.
         lint_metrics = str(Path(tmp) / "lint-metrics.json")
@@ -198,6 +239,14 @@ def main():
             fail(f"susc lint failed: exit {lint.returncode}\n{lint.stderr}")
         validate(json.loads(Path(lint_metrics).read_text()), schema)
         check_trace(lint_trace)
+        check_lint_pass_spans(susc, lint_trace)
+        off = "sus-lint-dead-branch"
+        lint = run([susc, "lint", f"--disable={off}", "--trace-out",
+                    lint_trace, example])
+        if lint.returncode not in (0, 1):
+            fail(f"susc lint --disable failed: exit {lint.returncode}\n"
+                 f"{lint.stderr}")
+        check_lint_pass_spans(susc, lint_trace, disabled=off)
 
         # Governor trip: a 1-state product budget is deterministic (unlike
         # a short deadline) and must make the run inconclusive rather than

@@ -15,8 +15,13 @@ headline contracts:
   4. One engine: on every given file, `susc FILE`, `susd --warm FILE` and
      `susc --connect SOCK verify` print identical bytes and exit with the
      same code.
+  5. Idle peers do not starve the daemon: with `--workers 2`, two peers
+     that connect and stay silent are cut off at the request-line
+     deadline, so a ping and a verify sent behind them are answered
+     within that deadline plus slack; a peer that sends its request line
+     in slow pieces inside the deadline is still served.
 
-Checks 1-3 run on the first file; check 4 runs on all of them.
+Checks 1-3 and 5 run on the first file; check 4 runs on all of them.
 
 Usage: daemon_e2e.py <susd> <susc> <file.sus>...
 """
@@ -32,10 +37,15 @@ import time
 # The version field sits after the 8-byte magic (DESIGN.md #13).
 VERSION_OFFSET = 8
 
+# RequestLineDeadlineMs in src/daemon/Protocol.h, and the slack allowed on
+# top of it for scheduling and the verify itself.
+REQUEST_LINE_DEADLINE_S = 2.0
+DEADLINE_SLACK_S = 3.0
 
-def run(argv, **kwargs):
+
+def run(argv, timeout=120, **kwargs):
     return subprocess.run(argv, capture_output=True, text=False,
-                          timeout=120, **kwargs)
+                          timeout=timeout, **kwargs)
 
 
 def fail(msg):
@@ -204,6 +214,104 @@ def check_daemon(susd, susc, sus_file, tmp):
             daemon.wait()
 
 
+def read_all(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def check_idle_peers(susd, susc, sus_file, tmp):
+    sock_path = os.path.join(tmp, "idle.sock")
+    daemon = subprocess.Popen(
+        [susd, "--listen", sock_path, "--workers", "2", sus_file],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    silent = []
+    try:
+        wait_for_socket(sock_path, daemon)
+        expected = run([susc, sus_file])
+
+        # Two silent peers take both workers.
+        for _ in range(2):
+            s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            s.settimeout(REQUEST_LINE_DEADLINE_S + DEADLINE_SLACK_S)
+            s.connect(sock_path)
+            silent.append(s)
+        time.sleep(0.3)
+
+        # A ping and a verify queue behind them.
+        limit = REQUEST_LINE_DEADLINE_S + DEADLINE_SLACK_S
+        answers = {}
+
+        def ask(verb):
+            try:
+                answers[verb] = run([susc, "--connect", sock_path, verb],
+                                    timeout=limit)
+            except subprocess.TimeoutExpired:
+                answers[verb] = None
+
+        start = time.time()
+        askers = [threading.Thread(target=ask, args=(verb,))
+                  for verb in ("ping", "verify")]
+        for t in askers:
+            t.start()
+        for t in askers:
+            t.join()
+        elapsed = time.time() - start
+        for verb in ("ping", "verify"):
+            if answers[verb] is None:
+                fail("%s behind two silent peers was not answered within "
+                     "%.1f s" % (verb, limit))
+        if elapsed > limit:
+            fail("ping and verify behind two silent peers took %.1f s "
+                 "(limit %.1f s)" % (elapsed, limit))
+        if answers["ping"].returncode != 0 or \
+                answers["ping"].stdout != b"pong\n":
+            fail("ping behind silent peers: exit %d, %r"
+                 % (answers["ping"].returncode, answers["ping"].stdout))
+        if answers["verify"].returncode != expected.returncode or \
+                answers["verify"].stdout != expected.stdout:
+            fail("verify behind silent peers differs from susc: %s"
+                 % first_difference(answers["verify"].stdout,
+                                    expected.stdout))
+
+        # Each silent peer got an error response, then the connection
+        # closed.
+        for s in silent:
+            reply = read_all(s)
+            if not reply.startswith(b"sus/1 2 ") or b"within" not in reply:
+                fail("silent peer got %r, expected a deadline error" % reply)
+        print("daemon_e2e: two silent peers cut off at the deadline; ping "
+              "and verify behind them answered in %.1f s" % elapsed)
+
+        # A slow but live peer is served.
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.settimeout(limit)
+        s.connect(sock_path)
+        pieces = [b"sus/", b"1 pi", b"ng\n"]
+        pause = REQUEST_LINE_DEADLINE_S / (2 * len(pieces))
+        for piece in pieces:
+            s.sendall(piece)
+            time.sleep(pause)
+        reply = read_all(s)
+        s.close()
+        if reply != b"sus/1 0 5\npong\n":
+            fail("slow peer got %r, expected a pong" % reply)
+        print("daemon_e2e: a peer sending its line in pieces is served")
+
+        run([susc, "--connect", sock_path, "shutdown"])
+        if daemon.wait(timeout=30) != 0:
+            fail("daemon exit code %d after shutdown" % daemon.returncode)
+    finally:
+        for s in silent:
+            s.close()
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
 def main():
     if len(sys.argv) < 4:
         fail("usage: daemon_e2e.py <susd> <susc> <file.sus>...")
@@ -214,6 +322,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="susd-e2e-", dir="/tmp") as tmp:
         check_snapshot_restart(susd, sus_files[0], tmp)
         check_daemon(susd, susc, sus_files[0], tmp)
+        check_idle_peers(susd, susc, sus_files[0], tmp)
         for sus_file in sus_files:
             check_front_ends_agree(susd, susc, sus_file, tmp)
     print("daemon_e2e: all checks passed")
