@@ -78,8 +78,7 @@ Response Engine::handle(const Request &R) {
     std::string Err;
     if (!countParam(R, "deadline_ms", Override.DeadlineMs, Err) ||
         !countParam(R, "max_product_states", Override.MaxProductStates,
-                    Err) ||
-        !countParam(R, "max_subset_states", Override.MaxSubsetStates, Err))
+                    Err))
       return errorResponse(Err);
     S->setGovernor(
         Opts.Tenants.governorFor(R.param("tenant", "*"), Override));

@@ -35,8 +35,8 @@ std::vector<Transition> derive(HistContext &Ctx, const Expr *E);
 
 /// Φ(H): appends the ⌋ϕ markers along the sequential spine of \p E, in
 /// order — the frames rule Close flushes when a session partner ends
-/// under them.
-void pendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out);
+/// under them. The policies point into \p E's nodes.
+void pendingFrameCloses(const Expr *E, std::vector<const PolicyRef *> &Out);
 
 /// Returns true if \p E is terminated, i.e. E ≡ ε.
 inline bool isTerminated(const Expr *E) { return E->isEmpty(); }

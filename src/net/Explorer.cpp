@@ -2,14 +2,12 @@
 
 #include "net/Explorer.h"
 
-#include "hist/Derive.h"
-#include "support/Casting.h"
+#include "net/Semantics.h"
 #include "support/HashUtil.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <unordered_map>
 
@@ -19,65 +17,17 @@ using namespace sus::net;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Canonical (hash-consed) session trees
-//===----------------------------------------------------------------------===//
-
-struct CNode {
-  bool IsLeaf;
-  plan::Loc Location;
-  const Expr *Behavior = nullptr;
-  const CNode *Left = nullptr;
-  const CNode *Right = nullptr;
-};
-
-class CTreeFactory {
-public:
-  const CNode *leaf(plan::Loc L, const Expr *H) {
-    return intern({1, L.id(), reinterpret_cast<uint64_t>(H)},
-                  CNode{true, L, H, nullptr, nullptr});
-  }
-  const CNode *pair(const CNode *A, const CNode *B) {
-    return intern({2, reinterpret_cast<uint64_t>(A),
-                   reinterpret_cast<uint64_t>(B)},
-                  CNode{false, plan::Loc(), nullptr, A, B});
-  }
-
-private:
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
-
-  const CNode *intern(std::vector<uint64_t> Key, CNode Node) {
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
-    Storage.push_back(Node);
-    const CNode *P = &Storage.back();
-    Unique.emplace(std::move(Key), P);
-    return P;
-  }
-
-  std::deque<CNode> Storage;
-  std::unordered_map<std::vector<uint64_t>, const CNode *, VecHash> Unique;
-};
-
 /// A network configuration: one tree per component plus the slot usage of
 /// every capacity-bounded location.
 struct NetState {
-  std::vector<const CNode *> Trees;
+  std::vector<const SessionTree *> Trees;
   std::map<plan::Loc, unsigned> InUse;
 };
 
 std::vector<uint64_t> encode(const NetState &S) {
   std::vector<uint64_t> Key;
   Key.reserve(S.Trees.size() + 2 * S.InUse.size() + 1);
-  for (const CNode *T : S.Trees)
+  for (const SessionTree *T : S.Trees)
     Key.push_back(reinterpret_cast<uint64_t>(T));
   Key.push_back(~0ull);
   for (const auto &[L, N] : S.InUse) {
@@ -87,193 +37,46 @@ std::vector<uint64_t> encode(const NetState &S) {
   return Key;
 }
 
-/// One enabled move of one component.
-struct CMove {
-  const CNode *NewTree = nullptr;
-  plan::Loc OpensAt;   ///< Valid when IsOpen.
-  plan::Loc ClosesAt;  ///< Valid when IsClose (the discarded partner).
-  bool IsOpen = false;
-  bool IsClose = false;
-  std::string Desc;
+struct KeyHash {
+  size_t operator()(const std::vector<uint64_t> &V) const noexcept {
+    size_t Seed = V.size();
+    for (uint64_t X : V)
+      hashCombineValue(Seed, X);
+    return Seed;
+  }
 };
 
-/// Splits a leading multi-branch ⊕ (as in Interpreter's committed mode).
-std::optional<std::pair<const IntChoiceExpr *, const Expr *>>
-splitMultiOutputHead(HistContext &Ctx, const Expr *E, unsigned Fuel = 8) {
-  if (Fuel == 0)
-    return std::nullopt;
-  if (const auto *C = dyn_cast<IntChoiceExpr>(E))
-    return C->numBranches() > 1
-               ? std::make_optional(std::make_pair(C, Ctx.empty()))
-               : std::nullopt;
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    auto Head = splitMultiOutputHead(Ctx, S->head(), Fuel - 1);
-    if (!Head)
-      return std::nullopt;
-    return std::make_pair(Head->first, Ctx.seq(Head->second, S->tail()));
-  }
-  if (const auto *M = dyn_cast<MuExpr>(E)) {
-    const Expr *Unfolded = Ctx.unfold(M);
-    if (Unfolded == E)
-      return std::nullopt;
-    return splitMultiOutputHead(Ctx, Unfolded, Fuel - 1);
-  }
-  return std::nullopt;
-}
-
-class Explorer {
-public:
-  Explorer(HistContext &Ctx, const plan::Repository &Repo,
-           const std::vector<NetworkComponent> &Components,
-           const ExplorerOptions &Options)
-      : Ctx(Ctx), Repo(Repo), Components(Components), Options(Options) {}
-
-  ExplorationResult run();
-
-private:
-  void movesOf(size_t Component, const CNode *Node, const NetState &S,
-               std::vector<CMove> &Out);
-
-  HistContext &Ctx;
-  const plan::Repository &Repo;
-  const std::vector<NetworkComponent> &Components;
-  const ExplorerOptions &Options;
-  CTreeFactory Trees;
+/// How a configuration was first reached: the predecessor, the component
+/// that moved and its move.
+struct Pred {
+  uint32_t From = 0;
+  uint32_t Component = 0;
+  Move M; ///< M.Shown is null for the initial configuration.
 };
 
-void Explorer::movesOf(size_t Component, const CNode *Node,
-                       const NetState &S, std::vector<CMove> &Out) {
-  const StringInterner &In = Ctx.interner();
-  if (Node->IsLeaf) {
-    if (Options.CommittedInternalChoice) {
-      if (auto Split = splitMultiOutputHead(Ctx, Node->Behavior)) {
-        for (const ChoiceBranch &B : Split->first->branches()) {
-          CMove M;
-          M.NewTree = Trees.leaf(
-              Node->Location,
-              Ctx.seq(Ctx.prefix(B.Guard, B.Body), Split->second));
-          M.Desc = "commit " + B.Guard.str(In);
-          Out.push_back(std::move(M));
-        }
-        return;
-      }
-    }
-    for (const Transition &T : derive(Ctx, Node->Behavior)) {
-      switch (T.L.kind()) {
-      case LabelKind::Event:
-      case LabelKind::FrameOpen:
-      case LabelKind::FrameClose: {
-        CMove M;
-        M.NewTree = Trees.leaf(Node->Location, T.Target);
-        M.Desc = T.L.str(In);
-        Out.push_back(std::move(M));
-        break;
-      }
-      case LabelKind::Open: {
-        std::optional<plan::Loc> L =
-            Components[Component].Pi.lookup(T.L.request());
-        if (!L)
-          break; // Plan gap: the open can never fire.
-        const Expr *Service = Repo.find(*L);
-        if (!Service)
-          break;
-        unsigned Cap = Repo.capacity(*L);
-        if (Cap != 0) {
-          auto It = S.InUse.find(*L);
-          if (It != S.InUse.end() && It->second >= Cap)
-            break; // Capacity wait: not enabled in this configuration.
-        }
-        CMove M;
-        M.NewTree = Trees.pair(Trees.leaf(Node->Location, T.Target),
-                               Trees.leaf(*L, Service));
-        M.IsOpen = true;
-        M.OpensAt = *L;
-        M.Desc = T.L.str(In);
-        Out.push_back(std::move(M));
-        break;
-      }
-      default:
-        break;
-      }
-    }
-    return;
-  }
+} // namespace
 
-  // Session rule: lift both sides.
-  std::vector<CMove> Left, Right;
-  movesOf(Component, Node->Left, S, Left);
-  movesOf(Component, Node->Right, S, Right);
-  for (CMove &M : Left) {
-    M.NewTree = Trees.pair(M.NewTree, Node->Right);
-    Out.push_back(std::move(M));
-  }
-  for (CMove &M : Right) {
-    M.NewTree = Trees.pair(Node->Left, M.NewTree);
-    Out.push_back(std::move(M));
-  }
-
-  auto TryActor = [&](const CNode *X, const CNode *Y, bool XIsLeft) {
-    if (!X->IsLeaf)
-      return;
-    if (Options.CommittedInternalChoice &&
-        splitMultiOutputHead(Ctx, X->Behavior))
-      return;
-    for (const Transition &TX : derive(Ctx, X->Behavior)) {
-      if (TX.L.isClose() && Y->IsLeaf) {
-        CMove M;
-        M.NewTree = Trees.leaf(X->Location, TX.Target);
-        M.IsClose = true;
-        M.ClosesAt = Y->Location;
-        M.Desc = TX.L.str(In);
-        Out.push_back(std::move(M));
-        continue;
-      }
-      if (!TX.L.isComm() || !Y->IsLeaf)
-        continue;
-      CommAction AX = TX.L.asComm();
-      if (!AX.isOutput())
-        continue;
-      for (const Transition &TY : derive(Ctx, Y->Behavior)) {
-        if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
-          continue;
-        CMove M;
-        const CNode *NX = Trees.leaf(X->Location, TX.Target);
-        const CNode *NY = Trees.leaf(Y->Location, TY.Target);
-        M.NewTree = XIsLeft ? Trees.pair(NX, NY) : Trees.pair(NY, NX);
-        M.Desc = "tau(" + AX.str(In) + ")";
-        Out.push_back(std::move(M));
-      }
-    }
-  };
-  TryActor(Node->Left, Node->Right, true);
-  TryActor(Node->Right, Node->Left, false);
-}
-
-ExplorationResult Explorer::run() {
+ExplorationResult
+sus::net::exploreNetwork(HistContext &Ctx, const plan::Repository &Repo,
+                         const std::vector<NetworkComponent> &Components,
+                         const ExplorerOptions &Options) {
   trace::Span ExploreSpan("net.explore", "net");
   ExplorationResult Result;
   size_t Expanded = 0, DedupHits = 0, MovesGenerated = 0;
 
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
+  Semantics Rules(Ctx, Options.CommittedInternalChoice);
+  std::vector<Binder> Binders;
+  for (const NetworkComponent &C : Components)
+    Binders.emplace_back(C.Pi, Repo);
 
   std::vector<NetState> States;
-  std::vector<std::optional<std::pair<uint32_t, std::string>>> Pred;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, VecHash> Index;
-  std::deque<uint32_t> Work;
+  std::vector<Pred> Preds;
+  std::unordered_map<std::vector<uint64_t>, uint32_t, KeyHash> Index;
   bool Truncated = false;
 
-  auto Intern = [&](NetState S,
-                    std::optional<std::pair<uint32_t, std::string>> From) {
+  auto Intern = [&](NetState S, Pred From) {
     std::vector<uint64_t> Key = encode(S);
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
+    if (Index.count(Key)) {
       ++DedupHits;
       return;
     }
@@ -281,64 +84,66 @@ ExplorationResult Explorer::run() {
       Truncated = true;
       return;
     }
-    uint32_t I = static_cast<uint32_t>(States.size());
+    Index.emplace(std::move(Key), static_cast<uint32_t>(States.size()));
     States.push_back(std::move(S));
-    Pred.push_back(std::move(From));
-    Index.emplace(std::move(Key), I);
-    Work.push_back(I);
+    Preds.push_back(From);
   };
 
   NetState Init;
   for (const NetworkComponent &C : Components)
-    Init.Trees.push_back(Trees.leaf(C.Location, C.Client));
-  Intern(std::move(Init), std::nullopt);
+    Init.Trees.push_back(Rules.leaf(C.Location, C.Client));
+  Intern(std::move(Init), Pred());
 
-  auto AllDone = [](const NetState &S) {
-    for (const CNode *T : S.Trees)
-      if (!(T->IsLeaf && T->Behavior->isEmpty()))
-        return false;
-    return true;
-  };
-
-  while (!Work.empty()) {
-    uint32_t I = Work.front();
-    Work.pop_front();
+  std::vector<Move> Moves;
+  std::vector<LoggedLabel> Log;
+  // Breadth first: configurations are expanded in the order interned.
+  for (uint32_t I = 0; I != States.size(); ++I) {
     ++Expanded;
     NetState Current = States[I]; // Copy: States may reallocate below.
-
-    if (AllDone(Current)) {
+    if (std::all_of(Current.Trees.begin(), Current.Trees.end(),
+                    [](const SessionTree *T) { return T->isTerminated(); })) {
       Result.CanComplete = true;
       continue;
     }
 
     size_t MovesSeen = 0;
     for (size_t C = 0; C < Current.Trees.size(); ++C) {
-      std::vector<CMove> Moves;
-      movesOf(C, Current.Trees[C], Current, Moves);
-      MovesSeen += Moves.size();
-      MovesGenerated += Moves.size();
-      for (const CMove &M : Moves) {
+      Moves.clear();
+      Log.clear();
+      Rules.moves(Current.Trees[C], Binders[C], Moves, Log);
+      for (const Move &M : Moves) {
+        // A plan gap never fires; a capacity wait is not enabled here.
+        if (M.Gap != PlanGap::None)
+          continue;
+        if (M.K == Move::Kind::Open) {
+          unsigned Cap = Repo.capacity(M.Partner);
+          auto It = Current.InUse.find(M.Partner);
+          if (Cap != 0 && It != Current.InUse.end() && It->second >= Cap)
+            continue;
+        }
+        ++MovesSeen;
         NetState Next = Current;
-        Next.Trees[C] = M.NewTree;
-        if (M.IsOpen)
-          ++Next.InUse[M.OpensAt];
-        if (M.IsClose) {
-          auto It = Next.InUse.find(M.ClosesAt);
+        Next.Trees[C] = M.Next;
+        if (M.K == Move::Kind::Open)
+          ++Next.InUse[M.Partner];
+        if (M.K == Move::Kind::Close) {
+          auto It = Next.InUse.find(M.Partner);
           if (It != Next.InUse.end() && It->second > 0 && --It->second == 0)
             Next.InUse.erase(It);
         }
-        Intern(std::move(Next),
-               std::make_pair(I, "c" + std::to_string(C) + ": " + M.Desc));
+        Intern(std::move(Next), {I, static_cast<uint32_t>(C), M});
       }
     }
+    MovesGenerated += MovesSeen;
 
     if (MovesSeen == 0 && !Result.DeadlockReachable) {
       Result.DeadlockReachable = true;
-      std::vector<std::string> Trace;
-      for (uint32_t S = I; Pred[S]; S = Pred[S]->first)
-        Trace.push_back(Pred[S]->second);
-      std::reverse(Trace.begin(), Trace.end());
-      Result.DeadlockTrace = std::move(Trace);
+      // Step text is rendered only along the witness.
+      for (uint32_t S = I; Preds[S].M.Shown; S = Preds[S].From)
+        Result.DeadlockTrace.push_back(
+            "c" + std::to_string(Preds[S].Component) + ": " +
+            Preds[S].M.str(Ctx.interner()));
+      std::reverse(Result.DeadlockTrace.begin(), Result.DeadlockTrace.end());
     }
   }
 
@@ -354,14 +159,4 @@ ExplorationResult Explorer::run() {
         .setMax(static_cast<int64_t>(Result.States));
   }
   return Result;
-}
-
-} // namespace
-
-ExplorationResult
-sus::net::exploreNetwork(HistContext &Ctx, const plan::Repository &Repo,
-                         const std::vector<NetworkComponent> &Components,
-                         const ExplorerOptions &Options) {
-  Explorer E(Ctx, Repo, Components, Options);
-  return E.run();
 }

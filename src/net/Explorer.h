@@ -13,8 +13,9 @@
 /// complete and whether a deadlock is reachable, with a shortest witness
 /// schedule.
 ///
-/// Policies are not tracked here (security is per component — use
-/// validity::checkPlanValidity); the explorer covers exactly the
+/// Components step the rules of net/Semantics.h; the explorer adds the
+/// slot counts. Policies are not tracked here (security is per component
+/// — use validity::checkPlanValidity); the explorer covers exactly the
 /// progress-with-capacities dimension.
 ///
 //===----------------------------------------------------------------------===//

@@ -5,7 +5,9 @@
 /// Open, Close, Session, Net, Access, Synch). A network is a parallel
 /// composition of components, each a session tree with its own execution
 /// history η; services are drawn from a repository R and requests are
-/// bound through per-component plans π.
+/// bound through per-component plans π. The rules are net/Semantics.h;
+/// the interpreter adds the histories, the replication slots and the
+/// monitor.
 ///
 /// The interpreter implements the paper's *angelic* run-time monitor: when
 /// monitoring is enabled, a step whose history extension would break
@@ -23,7 +25,7 @@
 
 #include "hist/HistContext.h"
 #include "monitor/SessionMonitor.h"
-#include "net/Session.h"
+#include "net/Semantics.h"
 #include "plan/Plan.h"
 #include "policy/History.h"
 
@@ -44,27 +46,20 @@ struct NetworkComponent {
   plan::Plan Pi;
 };
 
-/// One enabled (or blocked) step of the network.
+/// One enabled (or blocked) step of the network: a Semantics move of one
+/// component, with what the interpreter adds to it.
 struct Step {
-  enum class Kind {
-    Access, ///< Rule Access: fire γ ∈ Ev ∪ Frm at a leaf.
-    Open,   ///< Rule Open: open a session with the planned service.
-    Synch,  ///< Rule Synch: complementary actions meet (τ).
-    Close,  ///< Rule Close: the opener ends the session.
-    Commit, ///< CommittedInternalChoice mode: resolve a ⊕ to one branch.
-  };
+  using Kind = Move::Kind;
 
   size_t Component = 0;
   Kind K = Kind::Access;
-  /// Path from the component root to the affected node (false = left).
-  std::vector<bool> Path;
 
-  // New residuals (computed at enumeration time).
-  const hist::Expr *NewBehavior = nullptr;  ///< Access/Open/Close: actor.
-  const hist::Expr *PartnerResidual = nullptr; ///< Synch: the receiver.
-  plan::Loc ServiceLoc;                     ///< Open: chosen service.
-  const hist::Expr *ServiceBehavior = nullptr; ///< Open: its expression.
-  bool ActorIsLeft = true; ///< Synch/Close: which side acts.
+  /// The component's tree the step was enumerated on, and its successor.
+  const SessionTree *From = nullptr;
+  const SessionTree *Next = nullptr;
+  /// Open: the chosen service; Synch: the receiver; Close: the partner
+  /// the session discards.
+  plan::Loc Partner;
 
   /// History labels this step appends to the component history.
   std::vector<hist::Label> HistoryAppend;
@@ -130,7 +125,8 @@ public:
 
   /// Applies \p S (must have been produced by the latest steps() call and
   /// be applicable: not PlanGap, and not Blocked while monitoring).
-  /// Returns false if the step is not applicable.
+  /// Returns false if the step is not applicable, or if its component has
+  /// moved since it was enumerated.
   bool apply(const Step &S);
 
   /// Runs a uniformly random scheduler until quiescence or \p MaxSteps.
@@ -138,7 +134,7 @@ public:
 
   size_t numComponents() const { return Components.size(); }
   const policy::History &history(size_t I) const { return Histories[I]; }
-  const Session &tree(size_t I) const { return *Trees[I]; }
+  const SessionTree &tree(size_t I) const { return *Trees[I]; }
   bool isDone(size_t I) const { return Trees[I]->isTerminated(); }
 
   /// True if the component history has become invalid (possible only with
@@ -163,9 +159,6 @@ public:
   }
 
 private:
-  Session *resolve(size_t Component, const std::vector<bool> &Path);
-  void stepsOf(size_t Component, Session *Node, std::vector<bool> &Path,
-               std::vector<Step> &Out);
   monitor::SessionMonitor &monitorOf(size_t Component);
 
   hist::HistContext &Ctx;
@@ -174,7 +167,12 @@ private:
   Options Opts;
 
   std::vector<NetworkComponent> Components;
-  std::vector<std::unique_ptr<Session>> Trees;
+  /// Heap-held so that the trees survive a move of the Interpreter.
+  std::unique_ptr<Semantics> Rules;
+  std::vector<const SessionTree *> Trees;
+  /// Scratch for steps().
+  std::vector<Move> Moves;
+  std::vector<LoggedLabel> Log;
   std::vector<policy::History> Histories;
   /// The network's policies, fused when the first label is appended or
   /// probed; null until then. Heap-held so that Monitors' pointers into it

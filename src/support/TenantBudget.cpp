@@ -12,7 +12,6 @@ TenantBudget TenantBudget::min(const TenantBudget &Other) const {
   TenantBudget Out;
   Out.DeadlineMs = std::min(DeadlineMs, Other.DeadlineMs);
   Out.MaxProductStates = std::min(MaxProductStates, Other.MaxProductStates);
-  Out.MaxSubsetStates = std::min(MaxSubsetStates, Other.MaxSubsetStates);
   return Out;
 }
 
@@ -41,9 +40,15 @@ bool TenantBudgetTable::addSpec(const std::string &Spec, std::string &Err) {
     Fields.push_back(Spec.substr(Start, Colon - Start));
     Start = Colon + 1;
   }
-  if (Fields.size() != 4) {
+  if (Fields.size() == 4) {
     Err = "tenant spec '" + Spec +
-          "' must be NAME:DEADLINE_MS:PRODUCT_STATES:SUBSET_STATES "
+          "' has a fourth field; the subset-state budget was removed, so "
+          "the spec is NAME:DEADLINE_MS:PRODUCT_STATES";
+    return false;
+  }
+  if (Fields.size() != 3) {
+    Err = "tenant spec '" + Spec +
+          "' must be NAME:DEADLINE_MS:PRODUCT_STATES "
           "(empty fields mean no limit)";
     return false;
   }
@@ -53,8 +58,7 @@ bool TenantBudgetTable::addSpec(const std::string &Spec, std::string &Err) {
   }
   TenantBudget B;
   if (!parseField(Fields[1], B.DeadlineMs, Err) ||
-      !parseField(Fields[2], B.MaxProductStates, Err) ||
-      !parseField(Fields[3], B.MaxSubsetStates, Err))
+      !parseField(Fields[2], B.MaxProductStates, Err))
     return false;
   if (Fields[0] == "*") {
     if (HaveDefault) {
@@ -85,8 +89,6 @@ std::shared_ptr<ResourceGovernor> TenantBudget::governor() const {
   auto Gov = std::make_shared<ResourceGovernor>();
   if (MaxProductStates != NoLimit)
     Gov->setLimit(ResourceKind::ProductStates, MaxProductStates);
-  if (MaxSubsetStates != NoLimit)
-    Gov->setLimit(ResourceKind::SubsetStates, MaxSubsetStates);
   if (DeadlineMs != NoLimit)
     Gov->setDeadlineAfterMillis(DeadlineMs);
   return Gov;

@@ -115,8 +115,6 @@ void printUsage(std::ostream &OS) {
         "                   not reached in time are Inconclusive(resource)\n"
         "  --max-product-states N  per-check state budget for product /\n"
         "                   emptiness explorations\n"
-        "  --max-subset-states N   per-check state budget for subset\n"
-        "                   construction (determinization)\n"
         "  --max-states N   state cap for --explore (default 262144)\n"
         "  --trace-out F    write a Chrome trace_event JSON span trace to F\n"
         "  --metrics-out F  write pipeline metrics JSON (sus-metrics-v1) to F\n"
@@ -147,7 +145,7 @@ void printPlanUsage(std::ostream &OS) {
         "                   and reporting p50/p99 repair latency\n"
         "  --seed N         seed for the churn picks (default 1)\n"
         "  --jobs N         re-verify repaired plans on N worker threads\n"
-        "  --deadline-ms N / --max-product-states N / --max-subset-states N\n"
+        "  --deadline-ms N / --max-product-states N\n"
         "                   resource budgets; cut-short repairs are\n"
         "                   Inconclusive(resource), never wrong\n"
         "  --trace-out F    write a Chrome trace_event JSON span trace to F\n"
@@ -189,8 +187,6 @@ uint64_t *budgetField(const std::string &Arg, TenantBudget &B) {
     return &B.DeadlineMs;
   if (Arg == "--max-product-states")
     return &B.MaxProductStates;
-  if (Arg == "--max-subset-states")
-    return &B.MaxSubsetStates;
   return nullptr;
 }
 
@@ -757,7 +753,7 @@ void printConnectUsage(std::ostream &OS) {
         "  the daemon returns (the plain susc exit contract)\n"
         "  verbs: ping, stats, verify, lint, churn, snapshot, shutdown\n"
         "  common keys: client=NAME plan=NAME tenant=NAME deadline_ms=N\n"
-        "               max_product_states=N max_subset_states=N\n"
+        "               max_product_states=N\n"
         "               rounds=N seed=N file=PATH enumerate=0\n";
 }
 

@@ -5,8 +5,8 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include "hist/Derive.h"
 #include "monitor/SessionMonitor.h"
+#include "net/Semantics.h"
 #include "support/HashUtil.h"
 #include "validity/FrameRegularize.h"
 
@@ -25,55 +25,6 @@ using monitor::HistoryStep;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Session trees: S ::= ℓ:H | [S, S]
-//===----------------------------------------------------------------------===//
-
-struct SessionNode {
-  bool IsLeaf;
-  // Leaf payload.
-  plan::Loc Location;
-  const Expr *Behavior = nullptr;
-  // Pair payload. By construction Left is the session opener.
-  const SessionNode *Left = nullptr;
-  const SessionNode *Right = nullptr;
-};
-
-/// Hash-conses session trees so a tree is identified by its pointer.
-class TreeFactory {
-public:
-  const SessionNode *leaf(plan::Loc L, const Expr *H) {
-    return intern({true, L.id(), reinterpret_cast<uintptr_t>(H)},
-                  SessionNode{true, L, H, nullptr, nullptr});
-  }
-
-  const SessionNode *pair(const SessionNode *A, const SessionNode *B) {
-    return intern({false, reinterpret_cast<uintptr_t>(A),
-                   reinterpret_cast<uintptr_t>(B)},
-                  SessionNode{false, plan::Loc(), nullptr, A, B});
-  }
-
-private:
-  /// (location, behaviour) of a leaf or (left, right) of a pair.
-  struct Key {
-    bool IsLeaf;
-    uintptr_t First, Second;
-    bool operator==(const Key &) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const noexcept {
-      return hashAll(K.IsLeaf, K.First, K.Second);
-    }
-  };
-
-  const SessionNode *intern(const Key &K, SessionNode Node) {
-    // Map nodes never move, so a tree's pointer is stable.
-    return &Unique.try_emplace(K, Node).first->second;
-  }
-
-  std::unordered_map<Key, SessionNode, KeyHash> Unique;
-};
-
-//===----------------------------------------------------------------------===//
 // Configurations
 //===----------------------------------------------------------------------===//
 
@@ -81,7 +32,7 @@ private:
 /// fused policy DFA stands on the history so far, and how deep each policy
 /// is framed. All three are interned, so a configuration is three words.
 struct Config {
-  const SessionNode *Tree;
+  const net::SessionTree *Tree;
   const monitor::ProductState *Monitor;
   const FrameCounts *Frames;
   bool operator==(const Config &) const = default;
@@ -102,24 +53,33 @@ struct FrameCountsHash {
   }
 };
 
-/// One atomic move of the composed service.
-struct Move {
-  const SessionNode *NewTree = nullptr;
-  /// The history steps this move logs: Checker::Steps[Begin, End).
-  uint32_t Begin = 0, End = 0;
-  /// The label a trace shows for the move; for a synchronisation, the
-  /// sender's output, shown as tau(ā).
-  const Label *Shown = nullptr;
-  bool Synch = false;
-  /// Failure moves (plan gaps) abort exploration immediately.
-  PlanFailureKind Gap = PlanFailureKind::None;
-};
-
 /// How a configuration was first reached: the predecessor and the move.
 struct Pred {
   uint32_t From = 0;
-  const Label *Shown = nullptr; ///< Null for the initial configuration.
-  bool Synch = false;
+  net::Move M; ///< M.Shown is null for the initial configuration.
+};
+
+/// Binds requests through the plan, regularizing every spawned service.
+class RegularizingBinder final : public net::Binder {
+public:
+  RegularizingBinder(HistContext &Ctx, const plan::Plan &P,
+                     const plan::Repository &Repo, bool Regularize)
+      : Binder(P, Repo), Ctx(Ctx), Regularize(Regularize) {}
+
+  const Expr *spawn(const Expr *Service) override {
+    if (!Regularize)
+      return Service;
+    auto It = Regularized.find(Service);
+    if (It == Regularized.end())
+      It = Regularized.emplace(Service, regularizeFramings(Ctx, Service))
+               .first;
+    return It->second;
+  }
+
+private:
+  HistContext &Ctx;
+  bool Regularize;
+  std::unordered_map<const Expr *, const Expr *> Regularized;
 };
 
 //===----------------------------------------------------------------------===//
@@ -131,7 +91,8 @@ public:
   Checker(HistContext &Ctx, const plan::Plan &P, const plan::Repository &Repo,
           const policy::PolicyRegistry &Registry,
           const StaticValidityOptions &Options)
-      : Ctx(Ctx), P(P), Repo(Repo), Registry(Registry), Options(Options) {}
+      : Ctx(Ctx), P(P), Repo(Repo), Registry(Registry), Options(Options),
+        Rules(Ctx), Bind(Ctx, P, Repo, Options.Regularize) {}
 
   StaticValidityResult run(const Expr *Client, plan::Loc ClientLoc);
 
@@ -141,24 +102,10 @@ private:
   /// uninstantiable reference.
   bool fuse(const Expr *Client, StaticValidityResult &Result);
 
-  /// Enumerates the moves of \p Node (rule Session lifts moves of inner
-  /// sessions; Synch and Close apply at pairs).
-  void movesOf(const SessionNode *Node, std::vector<Move> &Out);
-
-  /// Starts a move to \p Tree shown as \p Shown; its steps follow.
-  Move &addMove(std::vector<Move> &Out, const SessionNode *Tree,
-                const Label &Shown) {
-    auto At = static_cast<uint32_t>(Steps.size());
-    Out.push_back({Tree, At, At, &Shown});
-    return Out.back();
-  }
-
-  /// Logs \p S as the next history step of \p M, the newest move.
-  void log(Move &M, HistoryStep S) {
-    if (S.K == HistoryStep::Skip)
-      return;
-    Steps.push_back(S);
-    M.End = static_cast<uint32_t>(Steps.size());
+  /// The monitor's reading of a logged history label.
+  HistoryStep resolve(const net::LoggedLabel &L) const {
+    return L.Fired ? monitor::resolveLabel(Fused, *L.Fired)
+                   : monitor::frameStep(Fused, *L.Policy, L.Opens);
   }
 
   /// The policy a violating step \p S names: ϕ for ⌊ϕ; for an event, of
@@ -166,22 +113,6 @@ private:
   const PolicyRef &violatedPolicy(HistoryStep S,
                                   const FusedPolicyAutomaton::Cursor &C,
                                   const FrameCounts &Fr) const;
-
-  const std::vector<Transition> &derivatives(const Expr *E) {
-    auto It = Derived.find(E);
-    if (It == Derived.end())
-      It = Derived.emplace(E, derive(Ctx, E)).first;
-    return It->second;
-  }
-
-  const Expr *regularized(const Expr *E) {
-    if (!Options.Regularize)
-      return E;
-    auto It = Regularized.find(E);
-    if (It == Regularized.end())
-      It = Regularized.emplace(E, regularizeFramings(Ctx, E)).first;
-    return It->second;
-  }
 
   HistContext &Ctx;
   const plan::Plan &P;
@@ -194,14 +125,8 @@ private:
   /// references depth first, then each planned service's in binding order.
   std::vector<unsigned> MentionOrder;
 
-  TreeFactory Trees;
-  /// The history steps of the moves being enumerated.
-  std::vector<HistoryStep> Steps;
-  /// Φ(H) of the partner a Close move ends.
-  std::vector<PolicyRef> Pending;
-  /// Derivatives are stable references: map nodes never move.
-  std::unordered_map<const Expr *, std::vector<Transition>> Derived;
-  std::unordered_map<const Expr *, const Expr *> Regularized;
+  net::Semantics Rules;
+  RegularizingBinder Bind;
 };
 
 bool Checker::fuse(const Expr *Client, StaticValidityResult &Result) {
@@ -248,99 +173,6 @@ Checker::violatedPolicy(HistoryStep S, const FusedPolicyAutomaton::Cursor &C,
   return Fused.Policies.front();
 }
 
-void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
-  if (Node->IsLeaf) {
-    for (const Transition &T : derivatives(Node->Behavior)) {
-      switch (T.L.kind()) {
-      case LabelKind::Event:
-      case LabelKind::FrameOpen:
-      case LabelKind::FrameClose: {
-        Move &M = addMove(Out, Trees.leaf(Node->Location, T.Target), T.L);
-        log(M, monitor::resolveLabel(Fused, T.L));
-        break;
-      }
-      case LabelKind::Open: {
-        // Rule Open: bind r through π, spawn the service alongside.
-        std::optional<plan::Loc> L = P.lookup(T.L.request());
-        const Expr *Service = L ? Repo.find(*L) : nullptr;
-        if (!Service) {
-          addMove(Out, nullptr, T.L).Gap = L ? PlanFailureKind::UnknownService
-                                             : PlanFailureKind::UnboundRequest;
-          break;
-        }
-        Move &M = addMove(Out,
-                          Trees.pair(Trees.leaf(Node->Location, T.Target),
-                                     Trees.leaf(*L, regularized(Service))),
-                          T.L);
-        log(M, monitor::frameStep(Fused, T.L.policy(), /*Open=*/true));
-        break;
-      }
-      default:
-        // Communication needs a session partner and a close an enclosing
-        // session (close marks appear only after an Open): both are
-        // handled at the pair. τ logs nothing.
-        break;
-      }
-    }
-    return;
-  }
-
-  // Rule Session: either side evolves on its own.
-  size_t LeftBegin = Out.size();
-  movesOf(Node->Left, Out);
-  size_t RightBegin = Out.size();
-  movesOf(Node->Right, Out);
-  for (size_t I = LeftBegin; I != Out.size(); ++I) {
-    Move &M = Out[I];
-    if (M.Gap != PlanFailureKind::None)
-      continue;
-    M.NewTree = I < RightBegin ? Trees.pair(M.NewTree, Node->Right)
-                               : Trees.pair(Node->Left, M.NewTree);
-  }
-
-  // Rules Synch and Close need both sides to be leaves (a partner engaged
-  // in a nested session first has to finish it).
-  const SessionNode *A = Node->Left;
-  const SessionNode *B = Node->Right;
-
-  auto TrySynchAndClose = [&](const SessionNode *X, const SessionNode *Y) {
-    if (!X->IsLeaf)
-      return;
-    for (const Transition &TX : derivatives(X->Behavior)) {
-      // Rule Close: the opener ends the session; the partner (which must
-      // be a plain leaf) is terminated and its pending frame closes are
-      // flushed into the history.
-      if (TX.L.isClose() && Y->IsLeaf) {
-        Move &M = addMove(Out, Trees.leaf(X->Location, TX.Target), TX.L);
-        Pending.clear();
-        pendingFrameCloses(Y->Behavior, Pending);
-        for (const PolicyRef &Ref : Pending)
-          log(M, monitor::frameStep(Fused, Ref, /*Open=*/false));
-        log(M, monitor::frameStep(Fused, TX.L.policy(), /*Open=*/false));
-        continue;
-      }
-      // Rule Synch: complementary actions meet.
-      if (!TX.L.isComm() || !Y->IsLeaf)
-        continue;
-      CommAction AX = TX.L.asComm();
-      // Emit the synchronization once, from the sender's side.
-      if (!AX.isOutput())
-        continue;
-      for (const Transition &TY : derivatives(Y->Behavior)) {
-        if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
-          continue;
-        const SessionNode *NX = Trees.leaf(X->Location, TX.Target);
-        const SessionNode *NY = Trees.leaf(Y->Location, TY.Target);
-        addMove(Out, X == Node->Left ? Trees.pair(NX, NY) : Trees.pair(NY, NX),
-                TX.L)
-            .Synch = true;
-      }
-    }
-  };
-  TrySynchAndClose(A, B);
-  TrySynchAndClose(B, A);
-}
-
 StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
   StaticValidityResult Result;
   if (!fuse(Client, Result))
@@ -375,26 +207,24 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
     return true;
   };
 
-  auto Show = [&](const Label &L, bool Synch) {
-    return Synch ? "tau(" + L.asComm().str(Ctx.interner()) + ")"
-                 : L.str(Ctx.interner());
-  };
-  auto TraceTo = [&](uint32_t I, const Move &Last) {
+  auto TraceTo = [&](uint32_t I, const net::Move &Last) {
     std::vector<std::string> Trace;
-    Trace.push_back(Show(*Last.Shown, Last.Synch));
-    for (uint32_t S = I; Preds[S].Shown; S = Preds[S].From)
-      Trace.push_back(Show(*Preds[S].Shown, Preds[S].Synch));
+    Trace.push_back(Last.str(Ctx.interner()));
+    for (uint32_t S = I; Preds[S].M.Shown; S = Preds[S].From)
+      Trace.push_back(Preds[S].M.str(Ctx.interner()));
     std::reverse(Trace.begin(), Trace.end());
     return Trace;
   };
 
   const FrameCounts *NoFrames = &*FrameSets.emplace(Fused).first;
-  Intern({Trees.leaf(ClientLoc, regularized(Client)), Fused.start().At,
+  // The client starts regularized, like every service it spawns.
+  Intern({Rules.leaf(ClientLoc, Bind.spawn(Client)), Fused.start().At,
           NoFrames},
          Pred());
 
   bool Exceeded = false;
-  std::vector<Move> Moves;
+  std::vector<net::Move> Moves;
+  std::vector<net::LoggedLabel> Log;
   FrameCounts Frames(Fused);
   // Breadth first: configurations are explored in the order interned.
   for (uint32_t I = 0; I != States.size(); ++I) {
@@ -407,17 +237,18 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
     const Config From = States[I];
 
     Moves.clear();
-    Steps.clear();
-    movesOf(From.Tree, Moves);
+    Log.clear();
+    Rules.moves(From.Tree, Bind, Moves, Log);
 
-    bool Terminated = From.Tree->IsLeaf && From.Tree->Behavior->isEmpty();
-    if (Moves.empty() && !Terminated)
+    if (Moves.empty() && !From.Tree->isTerminated())
       Result.HasStuckConfiguration = true;
 
-    for (const Move &M : Moves) {
-      if (M.Gap != PlanFailureKind::None) {
+    for (const net::Move &M : Moves) {
+      if (M.Gap != net::PlanGap::None) {
         Result.Valid = false;
-        Result.Failure = M.Gap;
+        Result.Failure = M.Gap == net::PlanGap::UnboundRequest
+                             ? PlanFailureKind::UnboundRequest
+                             : PlanFailureKind::UnknownService;
         Result.Request = M.Shown->request();
         Result.Trace = TraceTo(I, M);
         Result.ExploredStates = States.size();
@@ -426,15 +257,18 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
       FusedPolicyAutomaton::Cursor C;
       C.At = From.Monitor;
       const FrameCounts *Next = From.Frames;
-      if (M.Begin != M.End) {
+      if (M.LogBegin != M.LogEnd) {
         Frames = *From.Frames;
         bool Framed = false;
-        for (uint32_t K = M.Begin; K != M.End; ++K) {
-          Framed |= Steps[K].K != HistoryStep::Event;
-          if (monitor::takeStep(Fused, C, Frames, Steps[K])) {
+        for (uint32_t K = M.LogBegin; K != M.LogEnd; ++K) {
+          HistoryStep S = resolve(Log[K]);
+          if (S.K == HistoryStep::Skip)
+            continue;
+          Framed |= S.K != HistoryStep::Event;
+          if (monitor::takeStep(Fused, C, Frames, S)) {
             Result.Valid = false;
             Result.Failure = PlanFailureKind::PolicyViolation;
-            Result.Policy = violatedPolicy(Steps[K], C, Frames);
+            Result.Policy = violatedPolicy(S, C, Frames);
             Result.Trace = TraceTo(I, M);
             Result.ExploredStates = States.size();
             return Result;
@@ -444,7 +278,7 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
           Next = &*FrameSets.insert(Frames).first;
       }
       // Off the table only once a successor was refused already.
-      if (!C.At || !Intern({M.NewTree, C.At, Next}, {I, M.Shown, M.Synch}))
+      if (!C.At || !Intern({M.Next, C.At, Next}, {I, M}))
         Exceeded = true;
     }
   }

@@ -3,8 +3,8 @@
 /// \file
 /// The §3.1/§5 static security check: given a client, a plan π and the
 /// repository R, explore every execution of the composed service (the
-/// client with each request bound to its planned service, sessions nesting
-/// as in the network semantics) while running all instantiated policy
+/// client with each request bound to its planned service, stepped by the
+/// network rules of net/Semantics.h) while running all instantiated policy
 /// monitors over the generated history. The plan is *security-valid* iff no
 /// reachable step violates an active policy — then the run-time monitor can
 /// be switched off.

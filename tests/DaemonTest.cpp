@@ -108,13 +108,13 @@ TEST(Protocol, ResponseHeaderRoundTrips) {
 TEST(TenantBudgets, SpecsParseAndDefaultApplies) {
   TenantBudgetTable T;
   std::string Err;
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
-  ASSERT_TRUE(T.addSpec("batch::50000:4096", Err)) << Err;
-  ASSERT_TRUE(T.addSpec("*:5000::", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("batch::50000", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("*:5000:", Err)) << Err;
   EXPECT_EQ(T.lookup("web").DeadlineMs, 100u);
   EXPECT_EQ(T.lookup("web").MaxProductStates, TenantBudget::NoLimit);
   EXPECT_EQ(T.lookup("batch").MaxProductStates, 50000u);
-  EXPECT_EQ(T.lookup("batch").MaxSubsetStates, 4096u);
+  EXPECT_EQ(T.lookup("batch").DeadlineMs, TenantBudget::NoLimit);
   // Unlisted tenants inherit the "*" default.
   EXPECT_EQ(T.lookup("someone-else").DeadlineMs, 5000u);
 }
@@ -123,13 +123,17 @@ TEST(TenantBudgets, MalformedSpecsAreDiagnosed) {
   TenantBudgetTable T;
   std::string Err;
   EXPECT_FALSE(T.addSpec("", Err));
-  EXPECT_FALSE(T.addSpec("web:100", Err));        // Too few fields.
+  EXPECT_FALSE(T.addSpec("web:100", Err));       // Too few fields.
   EXPECT_FALSE(T.addSpec("web:100:::extra", Err)); // Too many fields.
-  EXPECT_FALSE(T.addSpec("web:abc::", Err));      // Non-numeric.
-  EXPECT_FALSE(T.addSpec(":100::", Err));         // Empty name.
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
-  EXPECT_FALSE(T.addSpec("web:200::", Err));      // Duplicate tenant.
+  EXPECT_FALSE(T.addSpec("web:abc:", Err));      // Non-numeric.
+  EXPECT_FALSE(T.addSpec(":100:", Err));         // Empty name.
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
+  EXPECT_FALSE(T.addSpec("web:200:", Err));      // Duplicate tenant.
   EXPECT_FALSE(Err.empty());
+  // The subset-state field is gone, and the message says so.
+  EXPECT_FALSE(T.addSpec("batch::50000:4096", Err));
+  EXPECT_NE(Err.find("subset-state budget was removed"), std::string::npos)
+      << Err;
 }
 
 TEST(TenantBudgets, OverridesCombineByMinimum) {
@@ -141,7 +145,6 @@ TEST(TenantBudgets, OverridesCombineByMinimum) {
   TenantBudget Combined = Tenant.min(Override);
   EXPECT_EQ(Combined.DeadlineMs, 100u);
   EXPECT_EQ(Combined.MaxProductStates, 7u); // ...but can add a new one.
-  EXPECT_EQ(Combined.MaxSubsetStates, TenantBudget::NoLimit);
 
   Override.DeadlineMs = 5; // A tighter request wins.
   EXPECT_EQ(Tenant.min(Override).DeadlineMs, 5u);
@@ -150,7 +153,7 @@ TEST(TenantBudgets, OverridesCombineByMinimum) {
 TEST(TenantBudgets, GovernorOnlyArmsWhenLimited) {
   TenantBudgetTable T;
   std::string Err;
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
   EXPECT_EQ(T.governorFor("anyone", TenantBudget()), nullptr);
   EXPECT_NE(T.governorFor("web", TenantBudget()), nullptr);
   TenantBudget Override;
