@@ -2,19 +2,24 @@
 ///
 /// \file
 /// Experiment B2 (DESIGN.md): cost of the §3.1 machinery — dynamic |= η
-/// checking as histories grow, monitor count, automaton size, and the
-/// effect of the [4]-style framing regularization on the static check.
+/// checking as histories grow, monitor count, automaton size, the effect
+/// of the [4]-style framing regularization on the static check, and one
+/// validity pass over a client's candidate plans against a pass per plan.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Workloads.h"
 #include "policy/FramedAutomaton.h"
 #include "policy/Validity.h"
+#include "support/Diagnostics.h"
+#include "syntax/FileParser.h"
 #include "validity/CostAnalysis.h"
 #include "validity/FrameRegularize.h"
 #include "validity/StaticValidity.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
 
 using namespace sus;
 using namespace sus::bench;
@@ -97,6 +102,86 @@ void BM_StaticValidityRequests(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_StaticValidityRequests)->RangeMultiplier(2)->Range(1, 64);
+
+/// The Fig. 1-2 hotel with \p N hotels: one broker br whose request 100
+/// goes to a hotel, and one client c with its own phi(bl, p, t). Hotel j
+/// signs, quotes a price and a rating of its own.
+struct HotelClient {
+  hist::HistContext Ctx;
+  syntax::SusFile File;
+  const hist::Expr *Client = nullptr;
+  plan::Loc Name;
+  std::vector<plan::Plan> Plans; ///< {1 -> br, 100 -> hJ} for each J.
+
+  explicit HotelClient(unsigned N) {
+    std::string Source = R"(
+policy phi(bl: set, p: int, t: int) {
+  start q1; offending q6;
+  q1 -> q2 on sgn(x) when x not in bl; q1 -> q6 on sgn(x) when x in bl;
+  q2 -> q3 on p(y) when y <= p; q2 -> q4 on p(y) when y > p;
+  q4 -> q5 on ta(z) when z >= t; q4 -> q6 on ta(z) when z < t;
+  q3 -> q3 on *; q5 -> q5 on *; q6 -> q6 on *;
+}
+service br {
+  Req? . (open 100 { IdC! . (Bok? + UnA?) }; (CoBo! . Pay? <+> NoAv!))
+}
+client c { open 1 @ phi({h0,h7},70,80) { Req! . (CoBo? . Pay! + NoAv?) } }
+)";
+    for (unsigned J = 0; J < N; ++J)
+      Source += "service h" + std::to_string(J) + " { %sgn(h" +
+                std::to_string(J) + "); %p(" + std::to_string(40 + J % 60) +
+                "); %ta(" + std::to_string(50 + J % 50) +
+                "); IdC? . (Bok! <+> UnA!) }\n";
+    DiagnosticEngine Diags;
+    std::optional<syntax::SusFile> Parsed =
+        syntax::parseSusFile(Ctx, Source, Diags, "hotel.sus");
+    if (!Parsed)
+      std::abort();
+    File = std::move(*Parsed);
+    std::tie(Name, Client) = *File.Clients.begin();
+    for (unsigned J = 0; J < N; ++J) {
+      plan::Plan Pi;
+      Pi.bind(1, Ctx.symbol("br"));
+      Pi.bind(100, Ctx.symbol("h" + std::to_string(J)));
+      Plans.push_back(std::move(Pi));
+    }
+  }
+};
+
+/// One validity pass over a hotel client's N candidate plans; the
+/// per_plan counter is the time per plan.
+void BM_StaticValidityClientPlans(benchmark::State &State) {
+  HotelClient H(static_cast<unsigned>(State.range(0)));
+  std::vector<const plan::Plan *> Plans;
+  for (const plan::Plan &P : H.Plans)
+    Plans.push_back(&P);
+  for (auto _ : State) {
+    auto R = validity::checkClientPlans(H.Ctx, H.Client, H.Name, Plans,
+                                        H.File.Repo, H.File.Registry);
+    benchmark::DoNotOptimize(R.data());
+  }
+  State.counters["per_plan"] = benchmark::Counter(
+      static_cast<double>(Plans.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StaticValidityClientPlans)->RangeMultiplier(4)->Range(1, 256);
+
+/// The same plans, each in a pass of its own (the ablation of the above).
+void BM_StaticValidityPlanByPlan(benchmark::State &State) {
+  HotelClient H(static_cast<unsigned>(State.range(0)));
+  for (auto _ : State)
+    for (const plan::Plan &P : H.Plans) {
+      auto R = validity::checkPlanValidity(H.Ctx, H.Client, H.Name, P,
+                                           H.File.Repo, H.File.Registry);
+      benchmark::DoNotOptimize(R.Valid);
+    }
+  State.counters["per_plan"] = benchmark::Counter(
+      static_cast<double>(H.Plans.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StaticValidityPlanByPlan)->RangeMultiplier(4)->Range(1, 256);
 
 /// Ablation: redundant same-policy framing nesting with and without the
 /// [4] regularization.

@@ -8,7 +8,9 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 
 using namespace sus;
 using namespace sus::core;
@@ -70,23 +72,30 @@ bool Verifier::bindingCompliant(const hist::Expr *RequestBody,
 }
 
 std::map<hist::RequestId, plan::RequestSite>
-Verifier::collectPlanSites(const hist::Expr *Client,
-                           const plan::Plan &Pi) const {
+Verifier::collectPlanSites(const hist::Expr *Client, const plan::Plan &Pi,
+                           SiteMemo &Memo) const {
+  auto SitesOf = [&](const hist::Expr *E) -> const auto & {
+    auto [It, New] = Memo.try_emplace(E);
+    if (New)
+      It->second = plan::extractRequests(E);
+    return It->second;
+  };
   // Collect the request sites of the composed service: the client's own
   // requests plus, transitively, those of every planned service.
-  std::vector<plan::RequestSite> Sites = plan::extractRequests(Client);
+  std::vector<const plan::RequestSite *> Sites;
+  for (const plan::RequestSite &S : SitesOf(Client))
+    Sites.push_back(&S);
   std::map<hist::RequestId, plan::RequestSite> ById;
   for (size_t I = 0; I < Sites.size(); ++I) {
-    const plan::RequestSite &S = Sites[I];
+    const plan::RequestSite &S = *Sites[I];
     if (!ById.count(S.id()))
       ById.emplace(S.id(), S);
     if (std::optional<plan::Loc> L = Pi.lookup(S.id()))
       if (const hist::Expr *Service = Repo.find(*L))
-        for (const plan::RequestSite &Nested :
-             plan::extractRequests(Service)) {
+        for (const plan::RequestSite &Nested : SitesOf(Service)) {
           if (ById.count(Nested.id()))
             continue;
-          Sites.push_back(Nested);
+          Sites.push_back(&Nested);
           ById.emplace(Nested.id(), Nested);
         }
   }
@@ -119,34 +128,6 @@ std::vector<RequestCheck> Verifier::buildRequestChecks(
 }
 
 //===----------------------------------------------------------------------===//
-// Security
-//===----------------------------------------------------------------------===//
-
-validity::StaticValidityResult Verifier::securityOf(const hist::Expr *Client,
-                                                    plan::Loc ClientLoc,
-                                                    const plan::Plan &Pi,
-                                                    bool *CacheHit) {
-  if (CacheHit)
-    *CacheHit = false;
-  validity::StaticValidityOptions VOpts;
-  VOpts.MaxStates = Options.MaxStatesPerPlan;
-  VOpts.Governor = gov();
-  if (std::optional<validity::StaticValidityResult> Hit =
-          Cache->findValidity(Client, ClientLoc, Pi, VOpts.MaxStates)) {
-    if (CacheHit)
-      *CacheHit = true;
-    return *Hit;
-  }
-  validity::StaticValidityResult R = validity::checkPlanValidity(
-      Ctx, Client, ClientLoc, Pi, Repo, Registry, VOpts);
-  // A tripped exploration is not a verdict: record nothing, so the next
-  // (possibly unbounded) lookup for this signature recomputes for real.
-  if (R.Failure != validity::PlanFailureKind::ResourceExhausted)
-    Cache->recordValidity(Client, ClientLoc, Pi, VOpts.MaxStates, R);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
 // Plan checking
 //===----------------------------------------------------------------------===//
 
@@ -166,124 +147,135 @@ validity::StaticValidityResult exhaustedValidity(const ResourceExhausted &E) {
 
 PlanVerdict Verifier::checkPlan(const hist::Expr *Client,
                                 plan::Loc ClientLoc, const plan::Plan &Pi) {
-  trace::Span Span("plan.verify", "verifier");
-  PlanVerdict Verdict;
-  Verdict.Pi = Pi;
-  Verdict.RequestChecks = buildRequestChecks(collectPlanSites(Client, Pi), Pi);
-  bool CacheHit = false;
-  Verdict.Security = securityOf(Client, ClientLoc, Pi, &CacheHit);
-  // The span carries one tag: a governor trip outranks the cache verdict
-  // (a tripped path is never cached, so "miss" would say nothing anyway).
-  if (std::optional<ResourceExhausted> E = Verdict.exhaustedReason())
-    Span.tag("governor",
-             E->deadlineLike() ? "deadline_exceeded" : "budget_exceeded");
-  else
-    Span.tag("cache", CacheHit ? "hit" : "miss");
-  return Verdict;
+  return std::move(checkPlans(Client, ClientLoc, {Pi}).front());
 }
 
-void Verifier::checkPlansParallel(const hist::Expr *Client,
-                                  plan::Loc ClientLoc,
-                                  const std::vector<plan::Plan> &Plans,
-                                  unsigned Jobs,
-                                  VerificationReport &Report) {
+std::vector<PlanVerdict>
+Verifier::checkPlans(const hist::Expr *Client, plan::Loc ClientLoc,
+                     const std::vector<plan::Plan> &Plans) {
+  if (Plans.empty())
+    return {};
+  trace::Span Span("plan.verify", "verifier");
+  Span.count("plans", static_cast<int64_t>(Plans.size()));
+  std::vector<PlanVerdict> Verdicts(Plans.size());
+
+  // Compliance, serially on the session context: after this loop every
+  // (body, service) pair of every plan sits in the cache, so no worker
+  // shard ever needs the session HistContext.
+  SiteMemo Memo;
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    Verdicts[I].Pi = Plans[I];
+    Verdicts[I].RequestChecks =
+        buildRequestChecks(collectPlanSites(Client, Plans[I], Memo), Plans[I]);
+  }
+
+  // Security: cached verdicts first, then the misses in validity passes.
+  std::vector<size_t> Misses;
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    if (std::optional<validity::StaticValidityResult> Hit =
+            Cache->findValidity(Client, ClientLoc, Plans[I],
+                                Options.MaxStatesPerPlan))
+      Verdicts[I].Security = std::move(*Hit);
+    else
+      Misses.push_back(I);
+  }
+  if (!Misses.empty())
+    checkSecurity(Client, ClientLoc, Plans, Misses, Verdicts);
+
+  // The span carries one tag: a governor trip outranks the cache verdict
+  // (a tripped path is never cached, so "miss" would say nothing anyway).
+  std::optional<ResourceExhausted> Trip;
+  for (const PlanVerdict &V : Verdicts)
+    if ((Trip = V.exhaustedReason()))
+      break;
+  if (Trip)
+    Span.tag("governor",
+             Trip->deadlineLike() ? "deadline_exceeded" : "budget_exceeded");
+  else
+    Span.tag("cache", Misses.empty() ? "hit" : "miss");
+  return Verdicts;
+}
+
+void Verifier::checkSecurity(const hist::Expr *Client, plan::Loc ClientLoc,
+                             const std::vector<plan::Plan> &Plans,
+                             const std::vector<size_t> &Misses,
+                             std::vector<PlanVerdict> &Verdicts) {
   validity::StaticValidityOptions VOpts;
   VOpts.MaxStates = Options.MaxStatesPerPlan;
   VOpts.Governor = gov();
+  std::vector<const plan::Plan *> Pending;
+  for (size_t I : Misses)
+    Pending.push_back(&Plans[I]);
 
-  // Stage 1 (serial, session context): request-site collection and
-  // compliance pre-warming. After this loop every (body, service) pair of
-  // every plan sits in the cache with its witness, so no worker ever
-  // needs the session HistContext for compliance.
-  std::vector<std::map<hist::RequestId, plan::RequestSite>> Sites;
-  Sites.reserve(Plans.size());
-  {
-    trace::Span PrewarmSpan("plan.prewarm", "verifier");
-    PrewarmSpan.count("plans", static_cast<int64_t>(Plans.size()));
-    for (const plan::Plan &Pi : Plans) {
-      Sites.push_back(collectPlanSites(Client, Pi));
-      for (const auto &[Id, Site] : Sites.back()) {
-        std::optional<plan::Loc> L = Pi.lookup(Id);
-        if (L && Repo.find(*L))
-          Cache->compliance(Ctx, Site.body(), Repo.find(*L), gov());
-      }
-    }
-  }
-
-  // Stage 2: resolve security verdicts from the cache; fan the misses out
-  // over per-worker shards. Results are slotted by plan index, so the
-  // report order is the enumeration order regardless of scheduling.
   std::vector<std::optional<validity::StaticValidityResult>> Security(
-      Plans.size());
-  std::vector<size_t> Misses;
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    Security[I] =
-        Cache->findValidity(Client, ClientLoc, Plans[I], VOpts.MaxStates);
-    if (!Security[I])
-      Misses.push_back(I);
-  }
-
-  if (!Misses.empty()) {
+      Pending.size());
+  size_t Chunks = std::min<size_t>(effectiveJobs(), Pending.size());
+  if (Chunks <= 1) {
+    std::vector<validity::StaticValidityResult> Results =
+        validity::checkClientPlans(Ctx, Client, ClientLoc, Pending, Repo,
+                                   Registry, VOpts);
+    std::move(Results.begin(), Results.end(), Security.begin());
+  } else {
     trace::Span FanoutSpan("plan.fanout", "verifier");
-    FanoutSpan.count("misses", static_cast<int64_t>(Misses.size()));
+    FanoutSpan.count("misses", static_cast<int64_t>(Pending.size()));
+    unsigned Jobs = effectiveJobs();
     if (!Pool || Pool->numWorkers() != Jobs)
       Pool = std::make_unique<ThreadPool>(Jobs);
 
-    // Shards are created lazily by the first task each worker runs; a
-    // worker executes one task at a time, so its slot needs no lock, and
-    // waitIdle() orders every write below before the main thread reads.
+    // One pass per contiguous chunk; each plan's verdict does not depend
+    // on the pass it shares, so this equals the serial pass. Shards are
+    // created lazily by the first task each worker runs; a worker executes
+    // one task at a time, so its slot needs no lock, and waitIdle() orders
+    // every write below before the main thread reads.
     std::vector<std::unique_ptr<Shard>> Shards(Pool->numWorkers());
-    for (size_t I : Misses)
-      Pool->submit([&, I](unsigned Worker) {
-        trace::Span PlanSpan("plan.verify", "verifier");
+    size_t Per = (Pending.size() + Chunks - 1) / Chunks;
+    for (size_t Begin = 0; Begin < Pending.size(); Begin += Per)
+      Pool->submit([&, Begin](unsigned Worker) {
+        size_t End = std::min(Pending.size(), Begin + Per);
         // Poll-first: a task starting after a sticky deadline/cancel trip
         // does no exploration and just reports the trip.
         if (const ResourceGovernor *Gov = gov())
           if (std::optional<ResourceExhausted> E = Gov->trip()) {
-            PlanSpan.tag("governor", E->deadlineLike() ? "deadline_exceeded"
-                                                       : "budget_exceeded");
-            Security[I] = exhaustedValidity(*E);
+            for (size_t I = Begin; I != End; ++I)
+              Security[I] = exhaustedValidity(*E);
             return;
           }
-        PlanSpan.tag("cache", "miss");
         if (!Shards[Worker])
           Shards[Worker] = std::make_unique<Shard>(Ctx, Client, Repo);
         Shard &S = *Shards[Worker];
-        Security[I] = validity::checkPlanValidity(
-            S.Ctx, S.Client, ClientLoc, Plans[I], S.Repo, Registry, VOpts);
-        // Sticky trips doom every queued sibling too: drain the backlog in
+        std::vector<validity::StaticValidityResult> Results =
+            validity::checkClientPlans(
+                S.Ctx, S.Client, ClientLoc,
+                std::span(Pending).subspan(Begin, End - Begin), S.Repo,
+                Registry, VOpts);
+        bool Sticky = false;
+        for (size_t I = Begin; I != End; ++I) {
+          validity::StaticValidityResult &R = Results[I - Begin];
+          Sticky |= R.Exhausted && R.Exhausted->deadlineLike();
+          Security[I] = std::move(R);
+        }
+        // Sticky trips doom every queued chunk too: drain the backlog in
         // one motion rather than letting each task rediscover the trip.
-        if (Security[I]->Failure ==
-                validity::PlanFailureKind::ResourceExhausted &&
-            Security[I]->Exhausted && Security[I]->Exhausted->deadlineLike())
+        if (Sticky)
           Pool->cancelPending();
       });
     Pool->waitIdle();
-
-    for (size_t I : Misses) {
-      if (!Security[I]) {
-        // This task was discarded by cancelPending(): synthesize its
-        // verdict from the sticky trip that triggered the drain.
-        std::optional<ResourceExhausted> E =
-            gov() ? gov()->trip() : std::nullopt;
-        Security[I] = exhaustedValidity(
-            E ? *E : ResourceExhausted{ResourceKind::Cancelled, 0, 0});
-      }
-      // Tripped explorations stay out of the cache (see securityOf).
-      if (Security[I]->Failure !=
-          validity::PlanFailureKind::ResourceExhausted)
-        Cache->recordValidity(Client, ClientLoc, Plans[I], VOpts.MaxStates,
-                              *Security[I]);
-    }
   }
 
-  // Stage 3 (serial): assemble verdicts in enumeration order.
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    PlanVerdict Verdict;
-    Verdict.Pi = Plans[I];
-    Verdict.RequestChecks = buildRequestChecks(Sites[I], Plans[I]);
-    Verdict.Security = std::move(*Security[I]);
-    Report.Verdicts.push_back(std::move(Verdict));
+  for (size_t K = 0; K < Pending.size(); ++K) {
+    if (!Security[K]) {
+      // This chunk was discarded by cancelPending(): synthesize its
+      // verdict from the sticky trip that triggered the drain.
+      std::optional<ResourceExhausted> E = gov() ? gov()->trip() : std::nullopt;
+      Security[K] = exhaustedValidity(
+          E ? *E : ResourceExhausted{ResourceKind::Cancelled, 0, 0});
+    }
+    // A tripped exploration is not a verdict: record nothing, so the next
+    // (possibly unbounded) lookup for this signature recomputes for real.
+    if (Security[K]->Failure != validity::PlanFailureKind::ResourceExhausted)
+      Cache->recordValidity(Client, ClientLoc, *Pending[K],
+                            VOpts.MaxStates, *Security[K]);
+    Verdicts[Misses[K]].Security = std::move(*Security[K]);
   }
 }
 
@@ -306,22 +298,6 @@ Verifier::applyDelta(const plan::RepositoryDelta &Delta) {
   if (Index)
     Index->apply(Delta);
   return Evicted;
-}
-
-std::vector<PlanVerdict>
-Verifier::checkPlans(const hist::Expr *Client, plan::Loc ClientLoc,
-                     const std::vector<plan::Plan> &Plans) {
-  unsigned Jobs = effectiveJobs();
-  if (Jobs > 1 && Plans.size() > 1) {
-    VerificationReport Scratch;
-    checkPlansParallel(Client, ClientLoc, Plans, Jobs, Scratch);
-    return std::move(Scratch.Verdicts);
-  }
-  std::vector<PlanVerdict> Verdicts;
-  Verdicts.reserve(Plans.size());
-  for (const plan::Plan &Pi : Plans)
-    Verdicts.push_back(checkPlan(Client, ClientLoc, Pi));
-  return Verdicts;
 }
 
 VerificationReport Verifier::verifyClient(const hist::Expr *Client,
@@ -352,13 +328,7 @@ VerificationReport Verifier::verifyClient(const hist::Expr *Client,
     PlansChecked.add(Enumeration.Plans.size());
   }
 
-  unsigned Jobs = effectiveJobs();
-  if (Jobs > 1 && Enumeration.Plans.size() > 1) {
-    checkPlansParallel(Client, ClientLoc, Enumeration.Plans, Jobs, Report);
-    return Report;
-  }
-  for (const plan::Plan &Pi : Enumeration.Plans)
-    Report.Verdicts.push_back(checkPlan(Client, ClientLoc, Pi));
+  Report.Verdicts = checkPlans(Client, ClientLoc, Enumeration.Plans);
   return Report;
 }
 

@@ -15,9 +15,10 @@
 ///
 /// Verification is a pipeline over a shared VerifierCache: every
 /// (request body, service) compliance pair is model-checked exactly once
-/// per session, and with Jobs > 1 the independent per-plan security
-/// explorations fan out over a work-stealing thread pool. Parallel and
-/// serial runs produce element-wise identical reports (see DESIGN.md §2).
+/// per session, and a client's uncached plans are security-checked in
+/// one validity pass, or with Jobs > 1 in one pass per contiguous chunk
+/// over a work-stealing thread pool. Parallel and serial runs produce
+/// element-wise identical reports (see DESIGN.md §2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <unordered_map>
 #include <vector>
 
 namespace sus {
@@ -208,10 +210,12 @@ public:
   PlanVerdict checkPlan(const hist::Expr *Client, plan::Loc ClientLoc,
                         const plan::Plan &Pi);
 
-  /// Checks a batch of plans, routing through the parallel pipeline when
-  /// Jobs > 1. Verdicts come back in input order, element-wise identical
-  /// to per-plan checkPlan calls — this is the re-verification engine of
-  /// core::RepairSession.
+  /// Checks a batch of plans of one client: compliance through the cache,
+  /// then the security verdicts the cache misses in one validity pass
+  /// (validity::checkClientPlans), or with Jobs > 1 in one pass per
+  /// contiguous chunk on the worker shards. Verdicts come back in input
+  /// order, element-wise identical to per-plan checkPlan calls — this is
+  /// the verification engine of verifyClient and core::RepairSession.
   std::vector<PlanVerdict> checkPlans(const hist::Expr *Client,
                                       plan::Loc ClientLoc,
                                       const std::vector<plan::Plan> &Plans);
@@ -263,10 +267,15 @@ private:
   /// lets security checking run in parallel at all.
   struct Shard;
 
+  /// plan::extractRequests of each behaviour, computed once per batch.
+  using SiteMemo =
+      std::unordered_map<const hist::Expr *, std::vector<plan::RequestSite>>;
+
   /// The request sites a plan must serve: the client's own requests plus,
   /// transitively, those of every planned service.
   std::map<hist::RequestId, plan::RequestSite>
-  collectPlanSites(const hist::Expr *Client, const plan::Plan &Pi) const;
+  collectPlanSites(const hist::Expr *Client, const plan::Plan &Pi,
+                   SiteMemo &Memo) const;
 
   /// Builds the per-request compliance section of a verdict, answering
   /// every pair from the cache.
@@ -274,26 +283,18 @@ private:
   buildRequestChecks(const std::map<hist::RequestId, plan::RequestSite> &ById,
                      const plan::Plan &Pi);
 
-  /// Cache-aware whole-plan security check on the session context. When
-  /// \p CacheHit is non-null it reports whether the verdict came from the
-  /// VerifierCache.
-  validity::StaticValidityResult securityOf(const hist::Expr *Client,
-                                            plan::Loc ClientLoc,
-                                            const plan::Plan &Pi,
-                                            bool *CacheHit = nullptr);
-
-  /// Checks every enumerated plan through the parallel pipeline:
-  /// compliance pre-warmed serially through the cache, security fanned
-  /// out over per-worker shards. Results land in enumeration order.
+  /// Computes the security verdicts of Plans[Misses[...]] into
+  /// \p Verdicts and records the conclusive ones in the cache.
   ///
   /// Concurrency discipline (DESIGN.md §11): workers never lock. Each
-  /// task writes only its own Report slot (disjoint indices) through a
-  /// private per-worker Shard; the shared VerifierCache is read-only to
-  /// workers after the serial pre-warm, and ThreadPool::waitIdle() is
-  /// the join edge that publishes every slot back to the caller.
-  void checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
-                          const std::vector<plan::Plan> &Plans,
-                          unsigned Jobs, VerificationReport &Report);
+  /// chunk's task writes only its own slots (disjoint indices) through a
+  /// private per-worker Shard; the shared VerifierCache is not touched by
+  /// workers, and ThreadPool::waitIdle() is the join edge that publishes
+  /// every slot back to the caller.
+  void checkSecurity(const hist::Expr *Client, plan::Loc ClientLoc,
+                     const std::vector<plan::Plan> &Plans,
+                     const std::vector<size_t> &Misses,
+                     std::vector<PlanVerdict> &Verdicts);
 
   /// Effective worker count (resolves Jobs == 0).
   unsigned effectiveJobs() const;

@@ -92,7 +92,7 @@ VerifierCache::findValidity(const hist::Expr *Client, plan::Loc ClientLoc,
                             const plan::Plan &Pi, size_t MaxStates) {
   MutexLock Lock(M);
   ++Stats.ValidityLookups;
-  auto It = Validities.find(ValidityKey{Client, ClientLoc, Pi, MaxStates});
+  auto It = Validities.find(ValidityKeyRef{Client, ClientLoc, Pi, MaxStates});
   if (It == Validities.end()) {
     validityCounters().count(false);
     return std::nullopt;

@@ -151,15 +151,28 @@ private:
     plan::Loc Loc;
     plan::Plan Pi;
     size_t MaxStates;
+  };
 
-    bool operator<(const ValidityKey &O) const {
-      if (Client != O.Client)
-        return Client < O.Client;
-      if (Loc != O.Loc)
-        return Loc < O.Loc;
-      if (MaxStates != O.MaxStates)
-        return MaxStates < O.MaxStates;
-      return Pi < O.Pi;
+  /// A signature whose plan is borrowed, so a lookup copies nothing.
+  struct ValidityKeyRef {
+    const hist::Expr *Client;
+    plan::Loc Loc;
+    const plan::Plan &Pi;
+    size_t MaxStates;
+  };
+
+  /// Orders owned and borrowed signatures alike.
+  struct ValidityLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A &X, const B &Y) const {
+      if (X.Client != Y.Client)
+        return X.Client < Y.Client;
+      if (X.Loc != Y.Loc)
+        return X.Loc < Y.Loc;
+      if (X.MaxStates != Y.MaxStates)
+        return X.MaxStates < Y.MaxStates;
+      return X.Pi < Y.Pi;
     }
   };
 
@@ -177,7 +190,7 @@ private:
   std::map<std::pair<const hist::Expr *, const hist::Expr *>,
            contract::ComplianceResult>
       Compliances SUS_GUARDED_BY(M);
-  std::map<ValidityKey, validity::StaticValidityResult>
+  std::map<ValidityKey, validity::StaticValidityResult, ValidityLess>
       Validities SUS_GUARDED_BY(M);
 };
 

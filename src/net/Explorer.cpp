@@ -110,7 +110,7 @@ sus::net::exploreNetwork(HistContext &Ctx, const plan::Repository &Repo,
     for (size_t C = 0; C < Current.Trees.size(); ++C) {
       Moves.clear();
       Log.clear();
-      Rules.moves(Current.Trees[C], Binders[C], Moves, Log);
+      Rules.moves(Current.Trees[C], &Binders[C], Moves, Log);
       for (const Move &M : Moves) {
         // A plan gap never fires; a capacity wait is not enabled here.
         if (M.Gap != PlanGap::None)

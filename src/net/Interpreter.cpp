@@ -50,7 +50,7 @@ std::vector<Step> Interpreter::steps() {
     Moves.clear();
     Log.clear();
     Binder Bind(Components[C].Pi, Repo);
-    Rules->moves(Trees[C], Bind, Moves, Log);
+    Rules->moves(Trees[C], &Bind, Moves, Log);
     for (const Move &M : Moves) {
       Step S;
       S.Component = C;

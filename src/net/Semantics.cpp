@@ -104,8 +104,20 @@ const Semantics::Derivatives &Semantics::derivatives(const Expr *E) {
   return Derived.emplace(E, std::move(D)).first->second;
 }
 
-void Semantics::moves(const SessionTree *T, Binder &B, std::vector<Move> &Out,
-                      std::vector<LoggedLabel> &Log) {
+const SessionTree *Semantics::fill(const SessionTree *T,
+                                   const SessionTree *Spawned) {
+  if (T == &Hole)
+    return Spawned;
+  if (T->IsLeaf)
+    return T;
+  const SessionTree *Left = fill(T->Left, Spawned);
+  if (Left != T->Left)
+    return pair(Left, T->Right);
+  return pair(T->Left, fill(T->Right, Spawned));
+}
+
+void Semantics::moves(const SessionTree *T, const Binder *B,
+                      std::vector<Move> &Out, std::vector<LoggedLabel> &Log) {
   auto Add = [&](Move::Kind K, const SessionTree *Next, const Label &Shown,
                  plan::Loc Actor, plan::Loc Partner = plan::Loc()) -> Move & {
     auto At = static_cast<uint32_t>(Log.size());
@@ -135,18 +147,22 @@ void Semantics::moves(const SessionTree *T, Binder &B, std::vector<Move> &Out,
       }
       case LabelKind::Open: {
         // Rule Open: bind r through π, spawn the service alongside.
-        std::optional<plan::Loc> L = B.Pi.lookup(Tr.L.request());
-        const Expr *Service = L ? B.Repo.find(*L) : nullptr;
-        if (!Service) {
-          Move &Gap = Add(Move::Kind::Open, nullptr, Tr.L, T->Location,
-                          L.value_or(plan::Loc()));
-          Gap.Gap = L ? PlanGap::UnknownService : PlanGap::UnboundRequest;
-          break;
+        std::optional<plan::Loc> L;
+        const SessionTree *Spawned = &Hole;
+        if (B) {
+          L = B->Pi.lookup(Tr.L.request());
+          const Expr *Service = L ? B->Repo.find(*L) : nullptr;
+          if (!Service) {
+            Move &Gap = Add(Move::Kind::Open, nullptr, Tr.L, T->Location,
+                            L.value_or(plan::Loc()));
+            Gap.Gap = L ? PlanGap::UnknownService : PlanGap::UnboundRequest;
+            break;
+          }
+          Spawned = leaf(*L, Service);
         }
         Move &M = Add(Move::Kind::Open,
-                      pair(leaf(T->Location, Tr.Target),
-                           leaf(*L, B.spawn(Service))),
-                      Tr.L, T->Location, *L);
+                      pair(leaf(T->Location, Tr.Target), Spawned), Tr.L,
+                      T->Location, L.value_or(plan::Loc()));
         if (!Tr.L.policy().isTrivial()) {
           Log.push_back({nullptr, &Tr.L.policy(), /*Opens=*/true});
           M.LogEnd = static_cast<uint32_t>(Log.size());

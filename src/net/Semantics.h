@@ -95,16 +95,9 @@ struct Move {
 
 /// Rule Open's premise for one component: π binds the request to a
 /// location of the repository, whose service the new session runs.
-class Binder {
-public:
+struct Binder {
   Binder(const plan::Plan &Pi, const plan::Repository &Repo)
       : Pi(Pi), Repo(Repo) {}
-  virtual ~Binder() = default;
-
-  /// The behaviour a session opened with \p Service starts from.
-  virtual const hist::Expr *spawn(const hist::Expr *Service) {
-    return Service;
-  }
 
   const plan::Plan &Pi;
   const plan::Repository &Repo;
@@ -125,8 +118,19 @@ public:
   /// fixes, and the history labels they log to \p Log. Trivial policies
   /// log nothing on Open and Close; a Close logs Φ of the partner it
   /// discards, then the closing frame.
-  void moves(const SessionTree *T, Binder &B, std::vector<Move> &Out,
+  ///
+  /// With a null \p B every Open is left unbound, for callers that step
+  /// one tree under several plans at once: it has no gap and no Partner,
+  /// it logs its framing, and its successor holds hole() where the
+  /// spawned service goes, for the caller to plug with fill().
+  void moves(const SessionTree *T, const Binder *B, std::vector<Move> &Out,
              std::vector<LoggedLabel> &Log);
+
+  /// The placeholder an unbound Open leaves for the spawned service.
+  const SessionTree *hole() const { return &Hole; }
+
+  /// \p T, holding hole() once, with \p Spawned in its place.
+  const SessionTree *fill(const SessionTree *T, const SessionTree *Spawned);
 
 private:
   struct Derivatives {
@@ -158,6 +162,8 @@ private:
   std::unordered_map<Key, SessionTree, KeyHash> Trees;
   std::unordered_map<const hist::Expr *, Derivatives> Derived;
   std::vector<const hist::PolicyRef *> Pending; ///< Φ scratch for Close.
+  /// Never interned, so no tree without a hole can equal one with it.
+  const SessionTree Hole{true, plan::Loc(), nullptr, nullptr, nullptr};
 };
 
 } // namespace net

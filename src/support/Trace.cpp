@@ -187,5 +187,5 @@ void trace::writeChromeTrace(std::ostream &OS) {
     }
     OS << "}";
   }
-  OS << "\n]}\n";
+  OS << "\n],\"otherData\":{\"dropped_spans\":" << R.Dropped << "}}\n";
 }

@@ -67,7 +67,9 @@ size_t spanCount();
 size_t droppedSpans();
 
 /// Exports every retained span as Chrome trace_event JSON ("X" complete
-/// events, microsecond timestamps), oldest first.
+/// events, microsecond timestamps), oldest first, and the number of spans
+/// the ring dropped as "otherData":{"dropped_spans":N}, so that a trace
+/// whose totals miss overwritten spans says so.
 void writeChromeTrace(std::ostream &OS);
 
 /// An RAII scoped span. The span covers the scope's lifetime; optional

@@ -362,6 +362,23 @@ TEST_F(TraceTest, RingKeepsTheMostRecentSpansAndCountsDrops) {
   EXPECT_EQ(trace::droppedSpans(), 0u);
 }
 
+TEST_F(TraceTest, ChromeTraceReportsDroppedSpans) {
+  trace::enable(/*Capacity=*/4);
+  for (int I = 0; I < 9; ++I) {
+    trace::Span S("test.wrap", "test");
+  }
+  std::ostringstream OS;
+  trace::writeChromeTrace(OS);
+  EXPECT_NE(OS.str().find("\"otherData\":{\"dropped_spans\":5}"),
+            std::string::npos)
+      << OS.str();
+
+  trace::reset();
+  std::ostringstream Empty;
+  trace::writeChromeTrace(Empty);
+  EXPECT_NE(Empty.str().find("\"dropped_spans\":0"), std::string::npos);
+}
+
 TEST_F(TraceTest, SpansAfterDisableAreNotRecorded) {
   trace::enable(16);
   { trace::Span S("test.kept", "test"); }

@@ -8,7 +8,8 @@ Runs the shipped example through susc five ways and asserts:
   1. `--metrics-out` emits JSON valid against tests/metrics_schema.json
      (the normative sus-metrics-v1 schema), and the verify run counts
      `plan.index.lookups` (the index is the only enumeration);
-  2. `--trace-out` emits well-formed Chrome trace_event JSON;
+  2. `--trace-out` emits well-formed Chrome trace_event JSON that counts
+     the spans its ring dropped (`otherData.dropped_spans`);
   3. both also work through the `susc lint` subcommand, whose trace holds
      one `lint.pass` span, tagged with the pass id, per enabled pass (a
      pass switched off with `--disable` has none), and every
@@ -107,6 +108,9 @@ def check_trace(path):
             fail(f"{path}: traceEvents[{i}] is not a complete event")
         if ev["dur"] < 0:
             fail(f"{path}: traceEvents[{i}] has negative duration")
+    dropped = trace.get("otherData", {}).get("dropped_spans")
+    if not isinstance(dropped, int) or dropped < 0:
+        fail(f"{path}: no otherData.dropped_spans count")
     return len(events)
 
 
